@@ -13,13 +13,13 @@ DensityField::DensityField(std::size_t n, std::vector<double> data)
   }
 }
 
-double DensityField::mean() const noexcept {
-  // Pairwise-ish accumulation in long double keeps the normalized mean at 1
-  // to ~1e-16 even for large grids.
-  long double sum = 0.0L;
-  for (const double v : data_) sum += v;
-  return static_cast<double>(sum / static_cast<long double>(data_.size()));
+util::ExactSum DensityField::exact_sum() const noexcept {
+  util::ExactSum sum;
+  sum.add(data_);
+  return sum;
 }
+
+double DensityField::mean() const noexcept { return exact_sum().mean(data_.size()); }
 
 double DensityField::max() const noexcept {
   double m = data_.empty() ? 0.0 : data_[0];
@@ -76,8 +76,12 @@ DensityField generate_density_field(const FieldConfig& config) {
     }
   }
 
-  // Mass conservation: normalize to unit mean.
-  const double mean = field.mean();
+  // Mass conservation: normalize to unit mean.  The sequential long-double
+  // sum is part of the generator's definition (it fixes the field's bits),
+  // so it stays independent of DensityField::mean().
+  long double sum = 0.0L;
+  for (const double v : field.data()) sum += v;
+  const double mean = static_cast<double>(sum / static_cast<long double>(field.size()));
   for (auto& v : field.data()) v /= mean;
   return field;
 }

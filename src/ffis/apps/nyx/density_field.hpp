@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ffis/util/exact_sum.hpp"
 #include "ffis/util/rng.hpp"
 
 namespace ffis::nyx {
@@ -52,6 +53,10 @@ class DensityField {
     return (z * n_ + y) * n_ + x;
   }
 
+  /// Exact sum of every cell (order-independent, see util::ExactSum).
+  [[nodiscard]] util::ExactSum exact_sum() const noexcept;
+  /// exact_sum().mean(size()): the one mean the halo finder's full and
+  /// incremental paths share.
   [[nodiscard]] double mean() const noexcept;
   [[nodiscard]] double max() const noexcept;
 

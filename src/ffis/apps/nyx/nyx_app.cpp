@@ -1,12 +1,12 @@
 #include "ffis/apps/nyx/nyx_app.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
-
-#include <algorithm>
-
-#include <cstdio>
 #include <string_view>
 
 #include "ffis/apps/nyx/plotfile.hpp"
@@ -15,6 +15,7 @@
 #include "ffis/h5/writer.hpp"
 #include "ffis/util/serialize.hpp"
 #include "ffis/util/strfmt.hpp"
+#include "ffis/vfs/mem_fs.hpp"
 
 namespace ffis::nyx {
 
@@ -147,31 +148,63 @@ core::AnalysisResult NyxApp::analyze(vfs::FileSystem& fs) const {
   return analysis_from_catalog(find_halos(f, config_.halo));
 }
 
+/// Golden-run state for diff-driven re-analysis: the float format the clean
+/// metadata implies, the planned raw-data placement, and the incremental
+/// finder holding the decoded golden field and catalog state.  Shared by
+/// every cell whose golden tree has the same content.
+struct NyxApp::GoldenState final : core::GoldenArtifacts {
+  GoldenState(DensityField field, const HaloFinderConfig& halo)
+      : finder(std::move(field), halo) {}
+
+  h5::FloatFormat format;        ///< golden element encoding
+  std::uint64_t data_begin = 0;  ///< raw-data byte range within the plotfile
+  std::uint64_t data_end = 0;
+  std::uint64_t file_size = 0;   ///< planned (== golden) total file size
+  IncrementalHaloFinder finder;
+  /// A fork of the golden tree this state was derived from (shares its
+  /// extents): later derivations diff against it to find a shareable state.
+  std::unique_ptr<vfs::MemFs> tree;
+};
+
 namespace {
 
-/// Golden-run artifacts for diff-driven re-analysis: the decoded dataset
-/// (values AND the float format the clean metadata implies) plus the planned
-/// raw-data placement.  One instance per campaign cell, shared by all runs.
-struct NyxGoldenArtifacts final : core::GoldenArtifacts {
-  h5::Dataset dataset;          ///< golden values + format, as the reader saw them
-  std::uint64_t data_begin = 0; ///< raw-data byte range within the plotfile
-  std::uint64_t data_end = 0;
-  std::uint64_t file_size = 0;  ///< planned (== golden) total file size
-};
+/// True when `tree` provably holds the same bytes as `base`.
+bool same_content(const vfs::MemFs& tree, const vfs::MemFs& base) {
+  try {
+    return tree.diff_tree(base).empty();
+  } catch (const vfs::VfsError&) {
+    return false;  // different extent geometry: not comparable, not shared
+  }
+}
 
 }  // namespace
 
 std::shared_ptr<const core::GoldenArtifacts> NyxApp::golden_artifacts(
     vfs::FileSystem& golden_fs, const core::AnalysisResult& /*golden*/) const {
-  auto artifacts = std::make_shared<NyxGoldenArtifacts>();
-  artifacts->dataset =
-      h5::read_dataset(golden_fs, config_.plotfile_path, kDensityDatasetName);
+  const auto* tree = dynamic_cast<const vfs::MemFs*>(&golden_fs);
+  std::lock_guard lock(golden_mutex_);
+  std::erase_if(golden_states_, [](const auto& weak) { return weak.expired(); });
+  if (tree != nullptr) {
+    for (const auto& weak : golden_states_) {
+      std::shared_ptr<const GoldenState> state = weak.lock();
+      if (state != nullptr && state->tree != nullptr && same_content(*tree, *state->tree)) {
+        return state;
+      }
+    }
+  }
+
+  h5::Dataset dataset = h5::read_dataset(golden_fs, config_.plotfile_path, kDensityDatasetName);
+  auto state = std::make_shared<GoldenState>(
+      DensityField(config_.field.n, std::move(dataset.data)), config_.halo);
+  state->format = dataset.format;
   const h5::WriteInfo info = plan_plotfile_layout(config_.field.n, config_.h5_options);
   const h5::DatasetRange range = h5::dataset_byte_ranges(info).at(0);
-  artifacts->data_begin = range.begin;
-  artifacts->data_end = range.end;
-  artifacts->file_size = info.file_size;
-  return artifacts;
+  state->data_begin = range.begin;
+  state->data_end = range.end;
+  state->file_size = info.file_size;
+  if (tree != nullptr) state->tree = tree->fork_unique(vfs::MemFs::Concurrency::SingleThread);
+  golden_states_.push_back(state);
+  return state;
 }
 
 core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDiff& diff,
@@ -182,43 +215,70 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
   // (a leaked .lock marker, a stray file) analyzes exactly like the golden.
   if (!diff.touches(path)) return golden;
 
-  const auto* art = dynamic_cast<const NyxGoldenArtifacts*>(artifacts);
-  const vfs::FileDiff* fd = diff.find(path);
+  const auto full = [&](FullAnalysisReason reason) {
+    core::AnalysisResult result = analyze(fs);
+    result.metrics[kFullAnalysisReasonMetric] = static_cast<double>(reason);
+    return result;
+  };
+  const auto* state = dynamic_cast<const GoldenState*>(artifacts);
+  if (state == nullptr) return full(FullAnalysisReason::NoGoldenArtifacts);
   // Splicing is provably equivalent only for a pure in-place content change
   // whose dirty ranges sit entirely inside the dataset's raw data: metadata
   // corruption must go through the real parser (crashes, ARD shifts, format
   // re-interpretation), and size changes shift what reads return.
-  if (art == nullptr || fd == nullptr || fd->metadata_changed ||
-      fd->size != fd->base_size || fd->size != art->file_size) {
-    return analyze(fs);
+  const vfs::FileDiff* fd = diff.find(path);
+  if (fd == nullptr || fd->metadata_changed) return full(FullAnalysisReason::MetadataChanged);
+  if (fd->size != fd->base_size || fd->size != state->file_size) {
+    return full(FullAnalysisReason::SizeChanged);
   }
   for (const vfs::ByteRange& r : fd->ranges) {
-    if (r.offset < art->data_begin || r.end() > art->data_end) return analyze(fs);
+    if (r.offset < state->data_begin || r.end() > state->data_end) {
+      return full(FullAnalysisReason::OutsideDataRegion);
+    }
   }
 
-  // Reconstruct the faulty field: golden values everywhere, re-read and
-  // re-decoded values over (only) the dirty ranges, widened to element
-  // boundaries.  Element decode is positionally independent, so the splice
-  // is bit-identical to a full read — find_halos then sees exactly the
-  // field analyze() would have built, at O(dirty bytes) I/O.
-  const std::size_t element = art->dataset.format.size_bytes;
-  std::vector<double> values = art->dataset.data;
+  // Re-read and re-decode (only) the dirty ranges, widened to element
+  // boundaries.  Element decode is positionally independent, so each
+  // decoded value is exactly what a full read would see there.
+  const std::size_t element = state->format.size_bytes;
+  const std::vector<double>& golden_values = state->finder.golden_field().data();
+  std::vector<CellEdit> edits;
   vfs::File file(fs, path, vfs::OpenMode::Read);
+  util::Bytes raw;
+  std::uint64_t decoded_end = 0;  // elements below this are already decoded
   for (const vfs::ByteRange& r : fd->ranges) {
-    const std::uint64_t first = (r.offset - art->data_begin) / element;
+    const std::uint64_t first =
+        std::max((r.offset - state->data_begin) / element, decoded_end);
     const std::uint64_t last =
-        (r.end() - art->data_begin + element - 1) / element;  // exclusive, ceil
-    util::Bytes raw(static_cast<std::size_t>((last - first) * element));
-    if (file.pread(raw, art->data_begin + first * element) != raw.size()) {
-      return analyze(fs);  // short read despite matching sizes — be faithful
+        (r.end() - state->data_begin + element - 1) / element;  // exclusive, ceil
+    if (first >= last) continue;  // both ends of one element
+    raw.resize(static_cast<std::size_t>((last - first) * element));
+    if (file.pread(raw, state->data_begin + first * element) != raw.size()) {
+      return full(FullAnalysisReason::ShortRead);  // despite matching sizes
     }
-    const std::vector<double> decoded =
-        h5::decode_array(raw, last - first, art->dataset.format);
-    std::copy(decoded.begin(), decoded.end(),
-              values.begin() + static_cast<std::ptrdiff_t>(first));
+    const std::vector<double> decoded = h5::decode_array(raw, last - first, state->format);
+    for (std::size_t k = 0; k < decoded.size(); ++k) {
+      const auto cell = static_cast<std::size_t>(first + k);
+      if (std::bit_cast<std::uint64_t>(decoded[k]) !=
+          std::bit_cast<std::uint64_t>(golden_values[cell])) {
+        edits.push_back(CellEdit{.index = cell, .value = decoded[k]});
+      }
+    }
+    decoded_end = last;
   }
-  const DensityField reconstructed(config_.field.n, std::move(values));
-  return analysis_from_catalog(find_halos(reconstructed, config_.halo));
+
+  if (std::optional<HaloCatalog> catalog = state->finder.find(edits)) {
+    return analysis_from_catalog(*catalog);
+  }
+  // The threshold fell below the golden index window: a full find_halos on
+  // the reconstructed field (no re-read — the overlay is already known).
+  std::vector<double> values = golden_values;
+  for (const CellEdit& e : edits) values[e.index] = e.value;
+  core::AnalysisResult result = analysis_from_catalog(
+      find_halos(DensityField(config_.field.n, std::move(values)), config_.halo));
+  result.metrics[kFullAnalysisReasonMetric] =
+      static_cast<double>(FullAnalysisReason::ThresholdOutsideWindow);
+  return result;
 }
 
 core::Outcome NyxApp::classify(const core::AnalysisResult& /*golden*/,
@@ -244,7 +304,7 @@ constexpr std::string_view kStateTag = "nyx-state/1";
 std::string NyxApp::state_fingerprint() const {
   const FieldConfig& f = config_.field;
   const HaloFinderConfig& h = config_.halo;
-  return "nyx/1;n=" + std::to_string(f.n) + ";halos=" + std::to_string(f.halo_count) +
+  return "nyx/2;n=" + std::to_string(f.n) + ";halos=" + std::to_string(f.halo_count) +
          ";sig=" + util::hexf(f.sigma_min) + "," + util::hexf(f.sigma_max) +
          ";amp=" + util::hexf(f.amplitude_min) + "," + util::hexf(f.amplitude_max) +
          ";logn=" + util::hexf(f.lognormal_sigma) + ";thr=" + util::hexf(h.threshold_factor) +

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "ffis/apps/nyx/density_field.hpp"
 #include "ffis/apps/nyx/halo_finder.hpp"
@@ -44,6 +45,20 @@ struct NyxConfig {
   double average_value_tolerance = 1e-3;
 };
 
+/// Why NyxApp::analyze_dirty ran a full analysis instead of splicing the
+/// dirty cells into the golden state.  Carried as the value of
+/// metrics[kFullAnalysisReasonMetric] (absent on the spliced path).
+enum class FullAnalysisReason : int {
+  MetadataChanged = 1,   ///< mode/kind changed, or the path was created,
+                         ///< deleted or renamed
+  SizeChanged = 2,       ///< the plotfile's size differs from the golden one
+  OutsideDataRegion = 3, ///< a dirty range touches bytes outside the raw data
+  ShortRead = 4,         ///< re-reading a dirty range came back short
+  ThresholdOutsideWindow = 5,  ///< the shifted threshold left the golden index
+  NoGoldenArtifacts = 6,       ///< no golden state to splice into
+};
+inline constexpr const char* kFullAnalysisReasonMetric = "full_analysis_reason";
+
 class NyxApp final : public core::Application {
  public:
   explicit NyxApp(NyxConfig config = {});
@@ -57,22 +72,25 @@ class NyxApp final : public core::Application {
   void run_prefix(const core::RunContext& ctx, int stage) const override;
   void run_from(const core::RunContext& ctx, int stage) const override;
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override;
-  /// Caches the decoded golden plotfile dataset (values + float format) and
-  /// the planned layout addresses, so analyze_dirty can splice instead of
-  /// re-reading.  Per-chunk/per-slab *partial sums* are deliberately not
-  /// cached: updating a golden sum by the dirty slabs' delta changes the
-  /// floating-point summation order, which would break the bit-identical
-  /// outcome guarantee — caching the data itself is both safe and strictly
-  /// more useful.
+  /// The golden state analyze_dirty splices into: the decoded golden field
+  /// with its float format and raw-data placement, and the incremental halo
+  /// finder's golden catalog state (exact sum, candidates, component labels,
+  /// near-threshold index).  Derived once per golden *content*: a later call
+  /// whose tree diffs empty against a live cached one (pointer identity for
+  /// forks of one tree, memcmp otherwise) shares it, so every cell and
+  /// worker of this instance keeps one copy instead of one each.
   [[nodiscard]] std::shared_ptr<const core::GoldenArtifacts> golden_artifacts(
       vfs::FileSystem& golden_fs, const core::AnalysisResult& golden) const override;
   /// Diff-driven analysis: plotfile untouched → the golden analysis verbatim
   /// (zero reads); dirty ranges confined to the dataset's raw-data region
   /// (located via the cached h5::plan_layout addresses) → pread and decode
-  /// only the affected slabs, splice them into the cached golden field, and
-  /// re-run the halo finder on the reconstruction; anything touching
-  /// metadata, the file size, or the path itself → full analyze(), so
-  /// corrupted-metadata crashes and ARD shifts behave identically.
+  /// only the dirty elements, overlay them on the shared golden values and
+  /// let IncrementalHaloFinder re-derive the catalog from the golden state;
+  /// anything touching metadata, the file size, or the path itself → full
+  /// analyze(), so corrupted-metadata crashes and ARD shifts behave
+  /// identically.  A threshold shift beyond the golden index window runs
+  /// find_halos on the reconstructed field.  Every full path names its
+  /// FullAnalysisReason in the result's metrics.
   [[nodiscard]] core::AnalysisResult analyze_dirty(
       vfs::FileSystem& fs, const vfs::FsDiff& diff, const core::AnalysisResult& golden,
       const core::GoldenArtifacts* artifacts) const override;
@@ -101,6 +119,8 @@ class NyxApp final : public core::Application {
   [[nodiscard]] std::shared_ptr<const DensityField> field(std::uint64_t seed) const;
 
  private:
+  struct GoldenState;
+
   /// Shared tail of analyze / analyze_dirty: catalog -> report + metrics.
   [[nodiscard]] core::AnalysisResult analysis_from_catalog(const HaloCatalog& catalog) const;
   void run_range(const core::RunContext& ctx, int first, int last) const;
@@ -118,6 +138,10 @@ class NyxApp final : public core::Application {
   mutable std::shared_ptr<const DensityField> cached_field_;
   mutable std::uint64_t cached_data_address_ = 0;
   mutable bool layout_cached_ = false;
+  /// Live golden states (see golden_artifacts); derivation is serialized so
+  /// concurrently prepared cells of one golden tree share one state.
+  mutable std::mutex golden_mutex_;
+  mutable std::vector<std::weak_ptr<const GoldenState>> golden_states_;
 };
 
 }  // namespace ffis::nyx

@@ -196,11 +196,13 @@ class Application {
 
   /// Derives reusable artifacts from the golden run, called at most once per
   /// campaign cell with the golden output tree (`golden_fs`) and analysis.
-  /// The same pointer is then passed to every analyze_dirty call.  Note:
+  /// The same pointer is then passed to every analyze_dirty call; an
+  /// application may hand several cells one shared instance.  Note:
   /// incremental *statistics* (e.g. updating a golden sum by the dirty
-  /// slabs' delta) are deliberately out of contract — floating-point
-  /// summation order changes the rounding, breaking the bit-identical
-  /// guarantee; cache *data* (decoded fields, raw bytes) instead.
+  /// slabs' delta) must be exact — a floating-point running sum rounds
+  /// differently in another order, breaking the bit-identical guarantee —
+  /// so keep them in an order-independent form (util::ExactSum), or cache
+  /// *data* (decoded fields, raw bytes) instead.
   [[nodiscard]] virtual std::shared_ptr<const GoldenArtifacts> golden_artifacts(
       vfs::FileSystem& golden_fs, const AnalysisResult& golden) const {
     (void)golden_fs;

@@ -1,9 +1,12 @@
 #include "ffis/vfs/extent_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "ffis/util/chunking.hpp"
 #include "ffis/vfs/extent_arena.hpp"
@@ -226,23 +229,94 @@ void ExtentStore::resize(std::uint64_t new_size, FsStats& stats, ExtentArena* ar
 
 namespace {
 
-/// Compares the first `len` logical bytes of two (possibly hole) chunks.
-bool chunks_equal(const std::byte* a, std::size_t a_size, const std::byte* b,
-                  std::size_t b_size, std::size_t len) noexcept {
-  if (a == b) return true;  // same buffer, or both holes
+/// memcmp probe widths while locating a mismatch, coarse to fine: whole
+/// pages at full library-memcmp speed, then sub-blocks inside the page that
+/// differs, then words, then bytes.
+constexpr std::size_t kProbeBlocks[] = {4096, 256};
+alignas(64) constexpr std::byte kZeroBlock[4096] = {};
+
+std::uint64_t load_word(const std::byte* p) noexcept {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+/// Position (0..7, in address order) of the lowest-addressed nonzero byte of
+/// a nonzero word, and of the highest-addressed one.
+std::size_t first_set_byte(std::uint64_t x) noexcept {
+  return static_cast<std::size_t>(std::endian::native == std::endian::little
+                                       ? std::countr_zero(x)
+                                       : std::countl_zero(x)) / 8;
+}
+std::size_t last_set_byte(std::uint64_t x) noexcept {
+  return 7 - static_cast<std::size_t>(std::endian::native == std::endian::little
+                                          ? std::countl_zero(x)
+                                          : std::countr_zero(x)) / 8;
+}
+
+/// Offset of the first byte where a[0, n) and b[0, n) differ, or n.  With
+/// kZero, b is all zeros (kZeroBlock stands in for it).
+template <bool kZero>
+std::size_t first_mismatch(const std::byte* a, const std::byte* b, std::size_t n) noexcept {
+  const auto at = [b](std::size_t i) { return kZero ? kZeroBlock : b + i; };
+  std::size_t i = 0;
+  for (const std::size_t block : kProbeBlocks) {
+    while (i + block <= n && std::memcmp(a + i, at(i), block) == 0) i += block;
+  }
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t x = load_word(a + i) ^ load_word(at(i));
+    if (x != 0) return i + first_set_byte(x);
+  }
+  for (; i < n; ++i) {
+    if (a[i] != *at(i)) return i;
+  }
+  return n;
+}
+
+/// One past the last byte where a[0, n) and b[0, n) differ, or 0.
+template <bool kZero>
+std::size_t last_mismatch(const std::byte* a, const std::byte* b, std::size_t n) noexcept {
+  const auto at = [b](std::size_t i) { return kZero ? kZeroBlock : b + i; };
+  std::size_t i = n;
+  for (const std::size_t block : kProbeBlocks) {
+    while (i >= block && std::memcmp(a + i - block, at(i - block), block) == 0) i -= block;
+  }
+  for (; i >= 8; i -= 8) {
+    const std::uint64_t x = load_word(a + i - 8) ^ load_word(at(i - 8));
+    if (x != 0) return i - 8 + last_set_byte(x) + 1;
+  }
+  for (; i > 0; --i) {
+    if (a[i - 1] != *at(i - 1)) return i;
+  }
+  return 0;
+}
+
+/// The span [first, last] of differing bytes between the first `len`
+/// logical bytes of two (possibly hole) chunks, relative to the chunk start
+/// and half-open; nullopt when they are equal.  Logical bytes are the stored
+/// prefix, then zeros, so a hole equals an all-zero extent.  The forward
+/// search doubles as the equality test: an equal chunk costs one pass, and
+/// only a differing chunk pays for the backward search.
+std::optional<std::pair<std::size_t, std::size_t>> differing_span(
+    const std::byte* a, std::size_t a_size, const std::byte* b, std::size_t b_size,
+    std::size_t len) noexcept {
   const std::size_t a_len = a != nullptr ? std::min(len, a_size) : 0;
   const std::size_t b_len = b != nullptr ? std::min(len, b_size) : 0;
   const std::size_t common = std::min(a_len, b_len);
-  if (common > 0 && std::memcmp(a, b, common) != 0) return false;
-  // Whichever side stores more must be zero over the excess; the remainder
-  // (beyond both stored lengths) is zero on both sides by construction.
-  for (std::size_t i = common; i < a_len; ++i) {
-    if (a[i] != std::byte{0}) return false;
+  // The side storing more is compared against zeros over the excess; beyond
+  // both stored lengths the two sides are zero by construction.
+  const std::byte* longer = a_len > b_len ? a : b;
+  const std::size_t excess = std::max(a_len, b_len) - common;
+
+  std::size_t first = first_mismatch<false>(a, b, common);
+  if (first == common) {
+    if (excess == 0) return std::nullopt;
+    first = common + first_mismatch<true>(longer + common, nullptr, excess);
+    if (first == common + excess) return std::nullopt;
   }
-  for (std::size_t i = common; i < b_len; ++i) {
-    if (b[i] != std::byte{0}) return false;
-  }
-  return true;
+  std::size_t last = excess > 0 ? last_mismatch<true>(longer + common, nullptr, excess) : 0;
+  last = last > 0 ? common + last : last_mismatch<false>(a, b, common);
+  return std::pair{first, last};
 }
 
 }  // namespace
@@ -276,9 +350,9 @@ std::vector<ByteRange> ExtentStore::diff(const ExtentStore& base) const {
     const std::uint64_t begin = util::chunk_begin(i, chunk_size_);
     const std::size_t logical =
         static_cast<std::size_t>(std::min<std::uint64_t>(chunk_size_, common_size - begin));
-    if (!chunks_equal(a_data, a != nullptr ? a->size : 0, b_data,
-                      b != nullptr ? b->size : 0, logical)) {
-      append(begin, begin + logical);
+    if (const auto span = differing_span(a_data, a != nullptr ? a->size : 0, b_data,
+                                         b != nullptr ? b->size : 0, logical)) {
+      append(begin + span->first, begin + span->second);
     }
   }
   // A size change dirties the tail regardless of chunk content: the shorter

@@ -143,15 +143,17 @@ class ExtentStore {
     size_ = 0;
   }
 
-  /// Dirty byte ranges of *this relative to `base` (ascending, merged,
-  /// extent-granular — a conservative superset of the truly differing bytes;
-  /// an empty result proves the two payloads bit-identical).  Chunks shared
-  /// by pointer are proven equal without reading; unshared chunks are
-  /// compared by memcmp of their stored bytes (holes and unstored suffixes
-  /// read as zero, so a hole equals an all-zero extent).  Fork-derived
-  /// stores therefore diff in O(#chunks) pointer tests plus O(bytes
-  /// rewritten) memcmp.  Throws std::invalid_argument when the chunk
-  /// geometries differ (extent identity is only meaningful on one grid).
+  /// Dirty byte ranges of *this relative to `base` (ascending, merged; an
+  /// empty result proves the two payloads bit-identical).  Chunks shared by
+  /// pointer are proven equal without reading; unshared chunks are compared
+  /// by memcmp of their stored bytes (holes and unstored suffixes read as
+  /// zero, so a hole equals an all-zero extent); a chunk that differs is
+  /// narrowed to the exact span from its first to its last differing byte
+  /// by a blockwise memcmp/word-wise search — work only differing chunks
+  /// pay.  Fork-derived stores therefore diff in O(#chunks) pointer tests
+  /// plus O(bytes rewritten) compares.  Throws std::invalid_argument when
+  /// the chunk geometries differ (extent identity is only meaningful on one
+  /// grid).
   [[nodiscard]] std::vector<ByteRange> diff(const ExtentStore& base) const;
 
   /// True when every chunk payload pointer (and the size) is identical to

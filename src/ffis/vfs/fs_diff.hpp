@@ -14,12 +14,14 @@
 //  * chunks that are not shared (the continuation rewrote them) are compared
 //    by memcmp of just those extents, so a rewritten-but-identical dataset
 //    still classifies clean at O(bytes rewritten), not O(file);
+//  * a chunk that truly differs is narrowed to the exact span from its first
+//    to its last differing byte, so one flipped byte reports one byte — not
+//    its whole extent, and not the file metadata that happens to share it;
 //  * neither path issues a single FileSystem-level read.
 //
-// The result is conservative only in granularity: dirty ranges are reported
-// at extent granularity, so they are a superset of the truly differing bytes
-// but never miss a difference — which is exactly what "empty diff implies
-// bit-identical tree" (the Benign fast path) requires.
+// "Empty diff implies bit-identical tree" (the Benign fast path) holds, and
+// so does its converse at byte level: every byte outside the ranges is
+// equal, and every content range starts and ends on a differing byte.
 
 #include <cstdint>
 #include <string>
@@ -31,16 +33,20 @@ namespace ffis::vfs {
 /// Half-open dirty byte range [offset, offset + length) within one file.
 ///
 /// Semantics (what a range does and does not promise):
-///  * Conservative superset: every byte that actually differs is inside some
-///    range, but a range may cover equal bytes too — ExtentStore::diff
-///    reports at extent granularity, so one differing byte dirties its whole
-///    extent.  "No range covers offset X" therefore proves byte X equal;
-///    "a range covers X" proves nothing about X itself.
+///  * Exact per extent: within one extent, a range runs from the first to
+///    the last differing byte.  Bytes between them may be equal (two edits
+///    in one extent give one span), so "a range covers X" does not prove X
+///    differs; "no range covers X" proves byte X equal.  Within the common
+///    size, the first and last byte of every range differ.
 ///  * Normalized: within a FileDiff, ranges are in ascending offset order,
-///    non-overlapping, with adjacent ranges merged, and length > 0.
+///    non-overlapping, with adjacent ranges merged, and length > 0 — so a
+///    span ending on an extent's last byte merges with one starting on the
+///    next extent's first byte.
 ///  * Clamped to max(base_size, size): a pure size change (truncate or
 ///    extend) appears as one range covering [min(sizes), max(sizes)) — the
 ///    shorter side simply has no bytes there, which counts as a difference.
+///    Holes and unstored extent suffixes read as zero on both sides, so a
+///    hole equals explicit zeros and only nonzero bytes against it differ.
 struct ByteRange {
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
@@ -57,9 +63,10 @@ struct ByteRange {
 /// How one file present in both trees differs.
 struct FileDiff {
   std::string path;
-  /// Dirty ranges in ascending offset order, adjacent ranges merged, clamped
-  /// to max(base_size, size).  A pure size change (truncate/extend) shows up
-  /// as a range covering [min(sizes), max(sizes)).
+  /// Dirty ranges (see ByteRange): exact first..last differing byte per
+  /// extent, ascending, adjacent ranges merged, clamped to max(base_size,
+  /// size).  A pure size change (truncate/extend) shows up as a range
+  /// covering [min(sizes), max(sizes)).
   std::vector<ByteRange> ranges;
   std::uint64_t base_size = 0;  ///< size in the base (golden) tree
   std::uint64_t size = 0;       ///< size in the diffed (run) tree

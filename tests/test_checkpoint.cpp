@@ -13,6 +13,7 @@
 
 #include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/apps/nyx/nyx_app.hpp"
+#include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
 #include "ffis/core/application.hpp"
 #include "ffis/core/checkpoint.hpp"
@@ -631,6 +632,67 @@ TEST(DiffClassification, NyxDirtySlabSplicePreservesTalliesAndReadsLess) {
   // reads only the dirty extents of one 2 KiB slab.
   EXPECT_GT(full_reads, 0u);
   EXPECT_LT(diff_reads * 4, full_reads);
+}
+
+TEST(DiffClassification, NyxSlabSharingChunkZeroWithMetadataStillSplices) {
+  // The campaign benchmark's geometry: a 2-dump plotfile instrumented at
+  // stage 2 with the default 64 KiB extents, so the rewritten slab z=0 lives
+  // in chunk 0 together with the superblock.  Whole-chunk dirty ranges would
+  // start below the raw data and send every run to a full re-read; exact
+  // spans keep each fault's range inside the data, so the runs splice.
+  nyx::NyxConfig config;
+  config.field.n = 32;  // 256 KiB plotfile, 8 KiB slabs
+  config.timesteps = 2;
+  nyx::NyxApp app(config);
+  const h5::WriteInfo layout = nyx::plan_plotfile_layout(config.field.n);
+  const std::uint64_t slab_bytes = 32u * 32u * sizeof(double);
+  ASSERT_LT(layout.data_addresses.at(0) + slab_bytes, vfs::ExtentStore::kDefaultChunkSize);
+
+  constexpr std::uint64_t kRuns = 24;
+  auto make_plan = [&] {
+    exp::PlanBuilder builder;
+    builder.runs(kRuns).seed(2024);
+    builder.app(app).faults({"BF", "SHORN_WRITE@pwrite"}).stage(2).product();
+    return builder.build();
+  };
+
+  exp::EngineOptions reference_options;
+  reference_options.threads = 1;
+  reference_options.use_diff_classification = false;
+  const auto reference = exp::Engine(reference_options).run(make_plan());
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    exp::EngineOptions options;
+    options.threads = threads;
+    options.keep_details = true;
+    const auto report = exp::Engine(options).run(make_plan());
+    ASSERT_EQ(report.cells.size(), reference.cells.size());
+    std::uint64_t spliced = 0, analyzed = 0;
+    for (std::size_t i = 0; i < report.cells.size(); ++i) {
+      const auto& cell = report.cells[i];
+      ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+      ASSERT_TRUE(cell.checkpointed) << cell.cell.label;
+      for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
+        EXPECT_EQ(cell.tally.count(static_cast<Outcome>(o)),
+                  reference.cells[i].tally.count(static_cast<Outcome>(o)))
+            << cell.cell.label << " outcome " << o << " at " << threads << " threads";
+      }
+      for (const auto& run : cell.details) {
+        if (!run.analysis.has_value()) continue;  // clean diff or crash
+        ++analyzed;
+        const auto reason = run.analysis->metrics.find(nyx::kFullAnalysisReasonMetric);
+        if (reason != run.analysis->metrics.end()) continue;
+        ++spliced;
+        // A spliced run re-reads its dirty elements, not the plotfile.
+        EXPECT_LT(run.fs_stats.bytes_read * 8, layout.file_size)
+            << cell.cell.label << " at " << threads << " threads";
+      }
+    }
+    // Every fault lands in the slab rewrite, inside the raw data: all runs
+    // that need an analysis splice.
+    EXPECT_GT(analyzed, kRuns);
+    EXPECT_EQ(spliced, analyzed) << "at " << threads << " threads";
+  }
 }
 
 TEST(EngineCheckpoint, CowTrafficIsOChunkPerResumedRun) {

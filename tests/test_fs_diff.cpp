@@ -1,5 +1,6 @@
 // Extent-identity diff tests: ExtentStore::diff (pointer fast path, memcmp
-// fallback, holes, resize shrink/grow, geometry mismatch) and
+// fallback, exact first..last differing-byte spans, holes, resize
+// shrink/grow, geometry mismatch) and
 // MemFs::diff_tree (created/deleted/renamed paths, metadata changes,
 // fork-derived pointer sharing, the clean-tree fast path the Benign
 // classification shortcut rests on).
@@ -46,7 +47,7 @@ TEST(ExtentDiff, WriteAfterCopyDirtiesOnlyTouchedChunks) {
   write_at(fork, 9, "!");  // detaches chunk 1 only
   const auto ranges = fork.diff(base);
   ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (ByteRange{8, 8}));  // chunk-granular superset
+  EXPECT_EQ(ranges[0], (ByteRange{9, 1}));  // exactly the changed byte
 }
 
 TEST(ExtentDiff, RewrittenIdenticalBytesAreCleanViaMemcmp) {
@@ -74,7 +75,8 @@ TEST(ExtentDiff, HoleEqualsExplicitZeros) {
   with_zeros.write(12, bytes_of("z"), stats);
   const auto ranges = with_zeros.diff(with_hole);
   ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (ByteRange{8, 8}));
+  EXPECT_EQ(ranges[0], (ByteRange{12, 1}));
+  EXPECT_EQ(with_hole.diff(with_zeros), ranges);
 }
 
 TEST(ExtentDiff, ShortChunkUnstoredSuffixReadsAsZero) {
@@ -106,7 +108,7 @@ TEST(ExtentDiff, SizeChangeDirtiesTheTail) {
   fork.resize(16, stats);
   ranges = fork.diff(base);
   ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (ByteRange{8, 8}));  // chunk 1 differs (zeros vs "abcdef")
+  EXPECT_EQ(ranges[0], (ByteRange{10, 6}));  // zeros vs "abcdef"
 
   // Growing past the base's size dirties the extension too.
   fork.resize(20, stats);
@@ -122,7 +124,120 @@ TEST(ExtentDiff, AdjacentDirtyChunksMergeIntoOneRange) {
   write_at(fork, 4, "YYYYYYYYYYYY");  // spans chunks 0, 1
   const auto ranges = fork.diff(base);
   ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (ByteRange{0, 16}));
+  // [4, 8) ends on chunk 0's last byte and [8, 16) starts on chunk 1's
+  // first: adjacent, so merged.
+  EXPECT_EQ(ranges[0], (ByteRange{4, 12}));
+}
+
+TEST(ExtentDiff, TwoEditsInOneChunkGiveOneFirstToLastSpan) {
+  ExtentStore base(16);
+  write_at(base, 0, std::string(32, 'x'));
+  ExtentStore fork = base;
+  write_at(fork, 3, "A");
+  write_at(fork, 11, "B");  // same chunk; bytes 4..10 stay equal
+  const auto ranges = fork.diff(base);
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0], (ByteRange{3, 9}));
+}
+
+TEST(ExtentDiff, EditsOnFirstAndLastByteOfAChunk) {
+  ExtentStore base(8);
+  write_at(base, 0, std::string(24, 'x'));
+  {
+    ExtentStore fork = base;
+    write_at(fork, 8, "A");  // chunk 1's first byte
+    EXPECT_EQ(fork.diff(base), (std::vector<ByteRange>{{8, 1}}));
+  }
+  {
+    ExtentStore fork = base;
+    write_at(fork, 15, "B");  // chunk 1's last byte
+    EXPECT_EQ(fork.diff(base), (std::vector<ByteRange>{{15, 1}}));
+  }
+  {
+    ExtentStore fork = base;
+    write_at(fork, 8, "A");
+    write_at(fork, 15, "B");  // both ends: the span is the whole chunk
+    EXPECT_EQ(fork.diff(base), (std::vector<ByteRange>{{8, 8}}));
+  }
+  {
+    // Chunk 0's last byte and chunk 2's first byte, chunk 1 untouched: two
+    // one-byte ranges with a clean extent between them.
+    ExtentStore fork = base;
+    write_at(fork, 7, "C");
+    write_at(fork, 16, "D");
+    EXPECT_EQ(fork.diff(base), (std::vector<ByteRange>{{7, 1}, {16, 1}}));
+  }
+}
+
+TEST(ExtentDiff, EditInsideAHoleAgainstExplicitZeros) {
+  // A long hole vs explicit zeros, then nonzero bytes inside the hole's
+  // extent: the span covers only the nonzero bytes, whichever side stores
+  // more.
+  FsStats stats;
+  ExtentStore hole(64);
+  hole.resize(256, stats);
+  ExtentStore zeros(64);
+  zeros.write(0, util::Bytes(256, std::byte{0}), stats);
+  ExtentStore edited = hole;
+  write_at(edited, 100, "q");
+  write_at(edited, 103, "r");
+  EXPECT_EQ(edited.diff(zeros), (std::vector<ByteRange>{{100, 4}}));
+  EXPECT_EQ(zeros.diff(edited), (std::vector<ByteRange>{{100, 4}}));
+  EXPECT_EQ(edited.diff(hole), (std::vector<ByteRange>{{100, 4}}));
+  // A zero written into the hole is no difference at all.
+  ExtentStore zero_write = hole;
+  zero_write.write(130, util::Bytes(5, std::byte{0}), stats);
+  EXPECT_TRUE(zero_write.diff(hole).empty());
+  EXPECT_TRUE(zero_write.diff(zeros).empty());
+}
+
+TEST(ExtentDiff, PartialCopyDetachReportsOnlyTheOverwrittenBytes) {
+  // A small write into a shared extent detaches it by copying the bytes the
+  // write does not cover (the partial-copy detach); those copied bytes are
+  // equal to the base and must not show up as dirty.
+  ExtentStore base(1024);
+  std::string payload(3000, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<char>('a' + i % 26);
+  write_at(base, 0, payload);
+  ExtentStore fork = base;
+  FsStats stats;
+  fork.write(1500, bytes_of("!!!!"), stats);
+  EXPECT_EQ(stats.chunk_detaches, 1u);
+  EXPECT_EQ(stats.cow_bytes_copied, 1024u - 4u);
+  EXPECT_EQ(fork.diff(base), (std::vector<ByteRange>{{1500, 4}}));
+  // Rewriting part of the window with the base's own bytes narrows nothing
+  // but also adds nothing: only differing bytes bound the span.
+  fork.write(1500, bytes_of(payload.substr(1500, 1)), stats);
+  EXPECT_EQ(fork.diff(base), (std::vector<ByteRange>{{1501, 3}}));
+}
+
+TEST(ExtentDiff, SpanCrossingAChunkBoundary) {
+  ExtentStore base(8);
+  write_at(base, 0, std::string(32, 'x'));
+  ExtentStore fork = base;
+  write_at(fork, 13, "ABCDEF");  // [13, 19): chunk 1's tail, chunk 2's head
+  EXPECT_EQ(fork.diff(base), (std::vector<ByteRange>{{13, 6}}));
+  // Equal bytes at the boundary split the span in two.
+  write_at(fork, 15, "xx");  // bytes 15, 16 back to the base's 'x'
+  EXPECT_EQ(fork.diff(base), (std::vector<ByteRange>{{13, 2}, {17, 2}}));
+}
+
+TEST(ExtentDiff, SpanSearchFindsMismatchesAcrossProbeBlocks) {
+  // Chunks far larger than one probe block: the mismatch search narrows
+  // blockwise first, then word-wise, then bytewise, from both ends.
+  ExtentStore base(64 * 1024);
+  write_at(base, 0, std::string(200 * 1024, 'x'));
+  for (const std::uint64_t first : {0ull, 7ull, 511ull, 512ull, 4095ull, 65535ull, 65536ull}) {
+    for (const std::uint64_t last : {first, first + 1, first + 8, first + 1000, first + 70000}) {
+      ExtentStore fork = base;
+      write_at(fork, first, "A");
+      write_at(fork, last, "B");
+      const auto ranges = fork.diff(base);
+      ASSERT_FALSE(ranges.empty()) << first << ".." << last;
+      EXPECT_EQ(ranges.front().offset, first) << first << ".." << last;
+      EXPECT_EQ(ranges.back().end(), last + 1) << first << ".." << last;
+    }
+  }
 }
 
 TEST(ExtentDiff, DifferingChunkSizesRejected) {
@@ -293,7 +408,7 @@ TEST(TreeDiff, PerFileChunkSizingAgreesAcrossForks) {
   const FsDiff diff = fork.diff_tree(base);
   ASSERT_EQ(diff.changed.size(), 1u);
   ASSERT_EQ(diff.changed[0].ranges.size(), 1u);
-  EXPECT_EQ(diff.changed[0].ranges[0], (ByteRange{4096, 4096}));
+  EXPECT_EQ(diff.changed[0].ranges[0], (ByteRange{5000, 1}));
 }
 
 TEST(TreeDiff, UnrelatedTreesStillDiffCorrectlyByContent) {

@@ -3,15 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <set>
 
 #include "ffis/util/bytes.hpp"
 #include "ffis/util/chunking.hpp"
 #include "ffis/util/env.hpp"
+#include "ffis/util/exact_sum.hpp"
 #include "ffis/util/rng.hpp"
 #include "ffis/util/strfmt.hpp"
 #include "ffis/util/thread_pool.hpp"
@@ -416,6 +420,89 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
   long long serial_sum = 0;
   for (std::size_t i = 0; i < partial.size(); ++i) serial_sum += static_cast<long long>(i) * i;
   EXPECT_EQ(parallel_sum, serial_sum);
+}
+
+// --- ExactSum ------------------------------------------------------------------
+
+std::uint64_t mean_bits(const ExactSum& s, std::uint64_t n) {
+  return std::bit_cast<std::uint64_t>(s.mean(n));
+}
+
+TEST(ExactSum, OrderIndependentWhereARunningSumIsNot) {
+  // Wildly mixed magnitudes: a running double sum depends on the order.
+  std::vector<double> terms = {1e300, 1.0, -1e300, 3.5e-310, 2.0, -7.25, 1e-20, 123456.789,
+                               -1e16, 1e16, 0.1, 0.2, 0.3, -0.6, 5e-324, -2.2250738585072014e-308};
+  Rng rng(9);
+  ExactSum forward;
+  for (const double v : terms) forward.add(v);
+  for (int shuffle = 0; shuffle < 20; ++shuffle) {
+    for (std::size_t i = terms.size() - 1; i > 0; --i) {
+      std::swap(terms[i], terms[rng.uniform(std::uint64_t{i + 1})]);
+    }
+    ExactSum shuffled;
+    for (const double v : terms) shuffled.add(v);
+    EXPECT_EQ(mean_bits(shuffled, terms.size()), mean_bits(forward, terms.size()));
+  }
+}
+
+TEST(ExactSum, SubtractExactlyUndoesAdd) {
+  Rng rng(4);
+  ExactSum base;
+  std::vector<double> values(1000);
+  for (auto& v : values) {
+    v = std::ldexp(rng.uniform(-1.0, 1.0), static_cast<int>(rng.uniform(std::uint64_t{200})) - 100);
+    base.add(v);
+  }
+  // Replace a few values: golden sum minus old plus new equals the sum of
+  // the edited multiset, bit for bit.
+  ExactSum updated = base;
+  std::vector<double> edited = values;
+  for (const std::size_t i : {3u, 500u, 999u}) {
+    updated.subtract(edited[i]);
+    edited[i] = edited[i] * 1e200;
+    updated.add(edited[i]);
+  }
+  ExactSum fresh;
+  for (const double v : edited) fresh.add(v);
+  EXPECT_EQ(mean_bits(updated, edited.size()), mean_bits(fresh, edited.size()));
+  // And undoing every term leaves exactly zero.
+  for (const double v : edited) fresh.subtract(v);
+  EXPECT_EQ(fresh.mean(1), 0.0);
+}
+
+TEST(ExactSum, MeanOfSimpleValues) {
+  ExactSum s;
+  for (int i = 1; i <= 4; ++i) s.add(static_cast<double>(i));
+  EXPECT_EQ(s.mean(4), 2.5);
+  ExactSum tiny;
+  tiny.add(std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(tiny.mean(1), std::numeric_limits<double>::denorm_min());
+  ExactSum negative;
+  negative.add(-3.0);
+  negative.add(1.0);
+  EXPECT_EQ(negative.mean(2), -1.0);
+  // Beyond double range in the sum, back inside it after the division.
+  ExactSum huge;
+  for (int i = 0; i < 4; ++i) huge.add(std::numeric_limits<double>::max());
+  EXPECT_EQ(huge.mean(4), std::numeric_limits<double>::max());
+}
+
+TEST(ExactSum, NonFiniteTermsPoisonAndHeal) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExactSum s;
+  s.add(1.0);
+  s.add(inf);
+  EXPECT_EQ(s.mean(2), inf);
+  s.add(-inf);
+  EXPECT_TRUE(std::isnan(s.mean(3)));
+  s.subtract(inf);
+  EXPECT_EQ(s.mean(2), -inf);
+  s.subtract(-inf);
+  s.add(nan);
+  EXPECT_TRUE(std::isnan(s.mean(2)));
+  s.subtract(nan);
+  EXPECT_EQ(s.mean(1), 1.0);
 }
 
 }  // namespace

@@ -337,11 +337,16 @@ class Differ {
     for (op_ = 0; op_ < ops; ++op_) {
       step();
       if (::testing::Test::HasFatalFailure()) return;
+      if (op_ % kDiffCheckEvery == kDiffCheckEvery - 1) {
+        check_all_diffs();
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
     for (std::size_t i = 0; i < worlds_.size(); ++i) {
       compare_trees(worlds_[i]);
       if (::testing::Test::HasFatalFailure()) return;
     }
+    check_all_diffs();
   }
 
  private:
@@ -554,6 +559,83 @@ class Differ {
       if (!ms.is_dir) {
         ASSERT_EQ(vfs::read_file(*w.mem, path), vfs::read_file(*w.ref, path))
             << "contents of " << path << " diverged, " << where();
+      }
+    }
+  }
+
+  /// Ops between two all-pairs diff checks.
+  static constexpr std::size_t kDiffCheckEvery = 64;
+
+  void check_all_diffs() {
+    for (World& w : worlds_) {
+      for (World& base : worlds_) {
+        check_diff(w, base);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+
+  /// MemFs::diff_tree against the flat reference: a path present in both
+  /// trees is reported changed exactly when its kind, mode or bytes differ;
+  /// ranges are normalized; every byte outside them is equal; and every
+  /// range starts and ends on a differing byte (a byte only one side has
+  /// counts as differing).
+  void check_diff(World& w, World& base) {
+    vfs::FsDiff diff;
+    try {
+      diff = w.mem->diff_tree(*base.mem);
+    } catch (const VfsError& e) {
+      // A file renamed across differently-sized extent grids: diffs reject
+      // mismatched geometry by contract.
+      ASSERT_EQ(e.code(), VfsError::Code::InvalidArgument) << e.what() << " @ " << where();
+      ASSERT_NE(std::string(e.what()).find("chunk size"), std::string::npos) << where();
+      return;
+    }
+    std::vector<std::string> paths, base_paths;
+    collect(*w.ref, "/", paths);
+    collect(*base.ref, "/", base_paths);
+    for (const std::string& path : paths) {
+      if (std::find(base_paths.begin(), base_paths.end(), path) == base_paths.end()) continue;
+      const vfs::FileStat st = w.ref->stat(path);
+      const vfs::FileStat base_st = base.ref->stat(path);
+      const vfs::FileDiff* fd = diff.find(path);
+      const std::string at = path + " @ " + where();
+      if (st.is_dir || base_st.is_dir) {
+        const bool differs = st.is_dir != base_st.is_dir || st.mode != base_st.mode;
+        ASSERT_EQ(fd != nullptr, differs) << at;
+        if (fd != nullptr) ASSERT_TRUE(fd->metadata_changed) << at;
+        continue;
+      }
+      const util::Bytes mine = vfs::read_file(*w.ref, path);
+      const util::Bytes theirs = vfs::read_file(*base.ref, path);
+      const bool mode_differs = st.mode != base_st.mode;
+      ASSERT_EQ(fd != nullptr, mode_differs || mine != theirs) << at;
+      if (fd == nullptr) continue;
+      ASSERT_EQ(fd->metadata_changed, mode_differs) << at;
+      ASSERT_EQ(fd->size, mine.size()) << at;
+      ASSERT_EQ(fd->base_size, theirs.size()) << at;
+      const std::size_t common = std::min(mine.size(), theirs.size());
+      const std::size_t longest = std::max(mine.size(), theirs.size());
+      const auto differs_at = [&](std::uint64_t b) {
+        return b >= common || mine[static_cast<std::size_t>(b)] != theirs[static_cast<std::size_t>(b)];
+      };
+      std::vector<char> covered(longest, 0);
+      for (std::size_t k = 0; k < fd->ranges.size(); ++k) {
+        const vfs::ByteRange& r = fd->ranges[k];
+        ASSERT_GT(r.length, 0u) << "empty range, " << at;
+        ASSERT_LE(r.end(), longest) << "range past both sizes, " << at;
+        if (k > 0) {
+          ASSERT_GT(r.offset, fd->ranges[k - 1].end()) << "unmerged/unsorted ranges, " << at;
+        }
+        ASSERT_TRUE(differs_at(r.offset)) << "range starts on an equal byte " << r.offset
+                                          << ", " << at;
+        ASSERT_TRUE(differs_at(r.end() - 1)) << "range ends on an equal byte "
+                                             << r.end() - 1 << ", " << at;
+        std::fill(covered.begin() + static_cast<std::ptrdiff_t>(r.offset),
+                  covered.begin() + static_cast<std::ptrdiff_t>(r.end()), 1);
+      }
+      for (std::size_t b = 0; b < longest; ++b) {
+        if (covered[b] == 0) ASSERT_FALSE(differs_at(b)) << "uncovered byte " << b << ", " << at;
       }
     }
   }
