@@ -15,7 +15,7 @@ DensityField::DensityField(std::size_t n, std::vector<double> data)
 
 util::ExactSum DensityField::exact_sum() const noexcept {
   util::ExactSum sum;
-  sum.add(data_);
+  for (const double v : data_) sum.add(v);
   return sum;
 }
 

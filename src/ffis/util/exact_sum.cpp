@@ -56,22 +56,30 @@ void subtract_from(Magnitude& a, const Magnitude& b) noexcept {
   }
 }
 
-/// The magnitude rounded to long double (deterministic; the 128 leading
-/// bits plus a sticky bit for everything below them).
+/// The magnitude rounded to nearest (ties to even) long double: the 128
+/// leading bits, starting at the most significant set bit, with a sticky bit
+/// for everything below them OR-ed into bit 0 — well below the round bit
+/// (bit 63 of the window), so it only breaks ties.
 long double to_long_double(const Magnitude& mag) noexcept {
   int top = kLimbs - 1;
   while (top >= 0 && mag[static_cast<std::size_t>(top)] == 0) --top;
   if (top < 0) return 0.0L;
-  if (top == 0) return std::ldexp(static_cast<long double>(mag[0]), -1074);
-  auto window = (static_cast<unsigned __int128>(mag[static_cast<std::size_t>(top)]) << 64) |
-                mag[static_cast<std::size_t>(top - 1)];
-  for (int k = 0; k < top - 1; ++k) {
-    if (mag[static_cast<std::size_t>(k)] != 0) {
-      window |= 1;
-      break;
-    }
+  const auto limb = [&](int k) { return mag[static_cast<std::size_t>(k)]; };
+  // The window's bit 0 sits at magnitude bit `low`.
+  const int msb = 64 * top + 63 - std::countl_zero(limb(top));
+  const int low = std::max(0, msb - 127);
+  const int low_limb = low / 64;
+  const int off = low % 64;
+  auto window = (static_cast<unsigned __int128>(limb(low_limb + 1)) << 64) | limb(low_limb);
+  bool sticky = false;
+  if (off != 0) {
+    window >>= off;
+    window |= static_cast<unsigned __int128>(limb(low_limb + 2)) << (128 - off);
+    sticky = (limb(low_limb) & ((std::uint64_t{1} << off) - 1)) != 0;
   }
-  return std::ldexp(static_cast<long double>(window), 64 * (top - 1) - 1074);
+  for (int k = 0; k < low_limb && !sticky; ++k) sticky = limb(k) != 0;
+  if (sticky) window |= 1;
+  return std::ldexp(static_cast<long double>(window), low - 1074);
 }
 
 }  // namespace
@@ -96,51 +104,6 @@ void ExactSum::accumulate(double v, bool negate) noexcept {
       exponent == 0 ? fraction : fraction | (std::uint64_t{1} << 52));
   bins_[static_cast<std::size_t>(exponent == 0 ? 0 : exponent - 1)] +=
       sign != negate ? -mantissa : mantissa;
-}
-
-void ExactSum::add(std::span<const double> terms) noexcept {
-  // Mantissas are scatter-added into per-exponent 64-bit lanes, four lanes
-  // interleaved so that consecutive terms of one exponent do not wait on one
-  // another's store.  A lane entry absorbs 1024 mantissas (2^10 * 2^53 <
-  // 2^63) before the touched exponent range is folded into the 128-bit
-  // bins.  Zeros, subnormals, infinities and NaN take the per-term path.
-  constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kExponents = 2048;
-  constexpr std::size_t kFoldEvery = 1024 * kLanes;
-  std::array<std::int64_t, kLanes * kExponents> lanes{};
-  for (std::size_t begin = 0; begin < terms.size(); begin += kFoldEvery) {
-    const std::size_t end = std::min(terms.size(), begin + kFoldEvery);
-    std::uint64_t low = 0x7fe, high = 1;  // touched exponent range
-    const auto add_one = [&](std::size_t i, std::size_t lane) {
-      const auto bits = std::bit_cast<std::uint64_t>(terms[i]);
-      const std::uint64_t exponent = (bits >> 52) & 0x7ff;
-      if (exponent - 1 >= 0x7fe) [[unlikely]] {  // 0 or 0x7ff
-        accumulate(terms[i], false);
-        return;
-      }
-      auto mantissa = static_cast<std::int64_t>((bits & ((std::uint64_t{1} << 52) - 1)) |
-                                                (std::uint64_t{1} << 52));
-      if ((bits >> 63) != 0) mantissa = -mantissa;
-      lanes[lane * kExponents + exponent] += mantissa;
-      low = std::min(low, exponent);
-      high = std::max(high, exponent);
-    };
-    std::size_t i = begin;
-    for (; i + kLanes <= end; i += kLanes) {
-      add_one(i, 0);
-      add_one(i + 1, 1);
-      add_one(i + 2, 2);
-      add_one(i + 3, 3);
-    }
-    for (; i < end; ++i) add_one(i, i % kLanes);
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      for (std::uint64_t e = low; e <= high; ++e) {
-        std::int64_t& entry = lanes[lane * kExponents + e];
-        bins_[e - 1] += entry;
-        entry = 0;
-      }
-    }
-  }
 }
 
 double ExactSum::mean(std::uint64_t count) const noexcept {

@@ -18,23 +18,19 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 namespace ffis::util {
 
 class ExactSum {
  public:
   void add(double v) noexcept { accumulate(v, false); }
-  /// Adds every term: the same result as add() per term, about twice as
-  /// fast on long runs (see exact_sum.cpp).
-  void add(std::span<const double> terms) noexcept;
   /// Exact inverse of add(v).
   void subtract(double v) noexcept { accumulate(v, true); }
 
   /// The sum divided by `count`: NaN when NaN terms (or infinities of both
   /// signs) are present, ±inf for infinities of one sign, otherwise the
-  /// exact finite sum rounded once to long double and divided by `count`,
-  /// then rounded to double.
+  /// exact finite sum rounded once to nearest (ties to even) long double,
+  /// divided by `count`, then rounded to double.
   [[nodiscard]] double mean(std::uint64_t count) const noexcept;
 
  private:
@@ -42,9 +38,8 @@ class ExactSum {
 
   /// bins_[e - 1] is worth bins_[e - 1] * 2^(e - 1075): the signed sum of
   /// the 53-bit mantissas of finite terms with biased exponent e
-  /// (subnormals, e = 0, share bin 1), taken one by one or as partial sums
-  /// of at most 1024 of them (add(span)).  A bin absorbs 2^64 such partial
-  /// sums before it could overflow.
+  /// (subnormals, e = 0, share bin 1).  A bin absorbs 2^74 mantissas before
+  /// it could overflow.
   static constexpr int kBins = 2046;
   std::array<__int128, kBins> bins_{};
   std::int64_t nan_ = 0;

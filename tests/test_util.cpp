@@ -487,6 +487,28 @@ TEST(ExactSum, MeanOfSimpleValues) {
   EXPECT_EQ(huge.mean(4), std::numeric_limits<double>::max());
 }
 
+TEST(ExactSum, RoundsTheExactSumToNearestLongDouble) {
+  // D = 2^14 (1 + 2^-52) has an odd double mantissa, and L = D + 2^-39 -
+  // 2^-49 an odd long double one (ulp 2^-49).  Just below L's halfway point
+  // the sum must round down to L, and then to D; just above it, up to D +
+  // 2^-39, a double tie that goes to the even D + 2^-38.  Treating the
+  // first as a tie would round it up too.  Scaling by 2^s moves the leading
+  // bit through every alignment to the 64-bit limbs of the exact sum.
+  for (int s = -140; s <= 140; ++s) {
+    const auto term = [s](int e) { return std::ldexp(1.0, e + s); };
+    ExactSum below;
+    for (const double v : {term(14), term(-38), term(-39), -term(-49), term(-50), -term(-52)}) {
+      below.add(v);
+    }
+    EXPECT_EQ(below.mean(1), std::ldexp(1.0 + 0x1p-52, 14 + s)) << "scale 2^" << s;
+    ExactSum above;
+    for (const double v : {term(14), term(-38), term(-39), -term(-49), term(-50), term(-52)}) {
+      above.add(v);
+    }
+    EXPECT_EQ(above.mean(1), std::ldexp(1.0 + 0x1p-51, 14 + s)) << "scale 2^" << s;
+  }
+}
+
 TEST(ExactSum, NonFiniteTermsPoisonAndHeal) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
