@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 
 #include "ffis/util/bytes.hpp"
 
@@ -25,20 +26,32 @@ std::string pad_block(std::string s) {
   return s;
 }
 
-double parse_numeric_card(const std::string& header, const std::string& key) {
+double parse_numeric_card(std::string_view header, std::string_view key) {
   // Cards are fixed-position: KEYWORD(8) '= ' VALUE(20).
   for (std::size_t pos = 0; pos + kCardSize <= header.size(); pos += kCardSize) {
-    const std::string keyword = header.substr(pos, 8);
-    if (keyword.substr(0, key.size()) == key &&
-        (key.size() == 8 || keyword[key.size()] == ' ')) {
-      const std::string value = header.substr(pos + 10, 20);
+    const std::string_view keyword = header.substr(pos, 8);
+    if (keyword.starts_with(key) && (key.size() == 8 || keyword[key.size()] == ' ')) {
+      // strtod needs a terminator; the value field is copied whole, so an
+      // embedded NUL ends it exactly where it ended a per-card string.
+      char value[21];
+      header.copy(value, 20, pos + 10);
+      value[20] = '\0';
       char* end = nullptr;
-      const double parsed = std::strtod(value.c_str(), &end);
-      if (end == value.c_str()) throw FitsError("unparsable value for card " + key);
+      const double parsed = std::strtod(value, &end);
+      if (end == value) throw FitsError("unparsable value for card " + std::string(key));
       return parsed;
     }
   }
-  throw FitsError("missing mandatory card: " + key);
+  throw FitsError("missing mandatory card: " + std::string(key));
+}
+
+/// Host word <-> big-endian word (the FITS byte order): a byte swap on
+/// little-endian hosts, the identity on big-endian ones.
+std::uint64_t big_endian_word(std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) return v;
+  v = ((v & 0x00ff00ff00ff00ffULL) << 8) | ((v >> 8) & 0x00ff00ff00ff00ffULL);
+  v = ((v & 0x0000ffff0000ffffULL) << 16) | ((v >> 16) & 0x0000ffff0000ffffULL);
+  return (v << 32) | (v >> 32);
 }
 
 }  // namespace
@@ -66,19 +79,15 @@ void write_fits(vfs::FileSystem& fs, const std::string& path, const Image& image
   header = pad_block(std::move(header));
 
   // Big-endian binary64 pixels, padded to a block multiple with zeros.
-  util::Bytes data;
-  data.reserve(image.pixels.size() * 8);
-  for (const double v : image.pixels) {
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    for (std::size_t b = 8; b-- > 0;) {
-      data.push_back(static_cast<std::byte>((bits >> (8 * b)) & 0xff));
-    }
+  const std::size_t pixel_bytes = image.pixels.size() * 8;
+  util::Bytes data((pixel_bytes + kBlockSize - 1) / kBlockSize * kBlockSize);
+  for (std::size_t i = 0; i < image.pixels.size(); ++i) {
+    const std::uint64_t word = big_endian_word(std::bit_cast<std::uint64_t>(image.pixels[i]));
+    std::memcpy(data.data() + i * 8, &word, 8);
   }
-  const std::size_t rem = data.size() % kBlockSize;
-  if (rem != 0) data.insert(data.end(), kBlockSize - rem, std::byte{0});
 
   vfs::File out(fs, path, vfs::OpenMode::Write);
-  const std::uint64_t offset = out.pwrite(util::to_bytes(header), 0);
+  const std::uint64_t offset = out.pwrite(util::byte_view(header), 0);
   if (!vfs::pwrite_all(out, data, offset, options.data_chunk_bytes)) {
     throw FitsError("short write to " + path);
   }
@@ -87,7 +96,7 @@ void write_fits(vfs::FileSystem& fs, const std::string& path, const Image& image
 Image read_fits(vfs::FileSystem& fs, const std::string& path) {
   const util::Bytes raw = vfs::read_file(fs, path);
   if (raw.size() < kBlockSize) throw FitsError("file too small for a FITS header: " + path);
-  const std::string header = util::to_string(util::ByteSpan(raw).first(kBlockSize));
+  const std::string_view header = util::char_view(util::ByteSpan(raw).first(kBlockSize));
 
   if (header.substr(0, 8) != "SIMPLE  " || header.find('T', 10) >= 30) {
     throw FitsError("not a FITS file (SIMPLE card missing): " + path);
@@ -110,12 +119,9 @@ Image read_fits(vfs::FileSystem& fs, const std::string& path) {
     throw FitsError("FITS data segment truncated: " + path);
   }
   for (std::size_t i = 0; i < image.pixels.size(); ++i) {
-    std::uint64_t bits = 0;
-    const std::size_t base = kBlockSize + i * 8;
-    for (std::size_t b = 0; b < 8; ++b) {
-      bits = (bits << 8) | std::to_integer<std::uint64_t>(raw[base + b]);
-    }
-    image.pixels[i] = std::bit_cast<double>(bits);
+    std::uint64_t word = 0;
+    std::memcpy(&word, raw.data() + kBlockSize + i * 8, 8);
+    image.pixels[i] = std::bit_cast<double>(big_endian_word(word));
   }
   return image;
 }

@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace ffis::nyx {
 
 DensityField::DensityField(std::size_t n, std::vector<double> data)
     : n_(n), data_(std::move(data)) {
+  // n^3 must not wrap: a corrupted plotfile dimension of 2^22 would
+  // otherwise pass as an empty field whose at() reads out of bounds.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (n != 0 && (n > kMax / n || n * n > kMax / n)) {
+    throw std::invalid_argument("DensityField: n^3 overflows for n = " + std::to_string(n));
+  }
   if (data_.size() != n * n * n) {
     throw std::invalid_argument("DensityField: data size does not match n^3");
   }

@@ -82,7 +82,8 @@ void NyxApp::update_slab(const core::RunContext& ctx, const DensityField& f, int
   const double factor = slab_factor(z, t);
   for (double& v : slab) v *= factor;
 
-  const util::Bytes raw = h5::encode_array(slab, h5::FloatFormat{});
+  util::Bytes scratch;
+  const util::ByteSpan raw = h5::encoded_view(slab, h5::FloatFormat{}, scratch);
   const std::uint64_t address =
       plot_data_address() + static_cast<std::uint64_t>(z * plane) * sizeof(double);
 
@@ -322,7 +323,8 @@ util::Bytes NyxApp::serialize_state(std::uint64_t app_seed) const {
   w.str(kStateTag);
   w.u64(app_seed);
   w.u64(f->n());
-  w.blob(h5::encode_array(f->data(), h5::FloatFormat{}));
+  util::Bytes scratch;
+  w.blob(h5::encoded_view(f->data(), h5::FloatFormat{}, scratch));
   return out;
 }
 

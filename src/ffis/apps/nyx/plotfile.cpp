@@ -24,10 +24,9 @@ h5::Dataset density_dataset_shape(std::size_t n) {
 h5::WriteInfo write_plotfile(vfs::FileSystem& fs, const std::string& path,
                              const DensityField& field, const h5::WriteOptions& options) {
   h5::H5File file;
-  h5::Dataset ds = density_dataset_shape(field.n());
-  ds.data = field.data();
-  file.datasets.push_back(std::move(ds));
-  return h5::write_h5(fs, path, file, options);
+  file.datasets.push_back(density_dataset_shape(field.n()));
+  const std::span<const double> values[] = {field.data()};
+  return h5::write_h5(fs, path, file, values, options);
 }
 
 DensityField read_plotfile(vfs::FileSystem& fs, const std::string& path) {

@@ -77,7 +77,7 @@ void QmcApp::run_from(const core::RunContext& ctx, int stage) const {
 core::AnalysisResult QmcApp::analyze(vfs::FileSystem& fs) const {
   // The paper compares He.s001.scalar.dat bit-wise and then post-analyzes it.
   const util::Bytes s001 = vfs::read_file(fs, dmc_path());
-  const QmcaResult qmca = analyze_scalar_text(util::to_string(s001), config_.qmca);
+  const QmcaResult qmca = analyze_scalar_text(util::char_view(s001), config_.qmca);
 
   core::AnalysisResult result;
   result.comparison_blob = s001;

@@ -2,17 +2,19 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace ffis::qmc {
 
-QmcaResult analyze_scalar_text(const std::string& text, const QmcaOptions& options) {
+QmcaResult analyze_scalar_text(std::string_view text, const QmcaOptions& options) {
   // Header: the first line must be a comment naming the LocalEnergy column.
   // A destroyed header (e.g. its write was dropped) aborts the tool chain.
   const auto first_newline = text.find('\n');
-  if (first_newline == std::string::npos) throw QmcaError("scalar file has no lines");
-  const std::string header = text.substr(0, first_newline);
-  if (header.empty() || header[0] != '#' || header.find("LocalEnergy") == std::string::npos) {
+  if (first_newline == std::string_view::npos) throw QmcaError("scalar file has no lines");
+  const std::string_view header = text.substr(0, first_newline);
+  if (header.empty() || header[0] != '#' ||
+      header.find("LocalEnergy") == std::string_view::npos) {
     throw QmcaError("scalar file header is missing or corrupted");
   }
 
@@ -21,14 +23,20 @@ QmcaResult analyze_scalar_text(const std::string& text, const QmcaOptions& optio
   // Binary garbage in a text series is detectable corruption: the numpy
   // tool chain refuses files with NUL bytes.  QMCA reports it (Detected)
   // rather than aborting.
-  result.nul_bytes_found = text.find('\0', first_newline + 1) != std::string::npos;
+  result.nul_bytes_found = text.find('\0', first_newline + 1) != std::string_view::npos;
 
+  // strtod needs a NUL-terminated string, so each row is copied into one
+  // reused line buffer (its capacity grows to the longest row once, instead
+  // of one allocation per row).  The copy is the whole row, so strtod sees
+  // exactly what it would see in a per-row string: leading whitespace, hex
+  // floats, inf/nan, and an embedded NUL ending the row early.
+  std::string line;
   std::vector<double> energies;
   std::size_t pos = first_newline + 1;
   while (pos < text.size()) {
     auto end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
+    if (end == std::string_view::npos) end = text.size();
+    line.assign(text.data() + pos, end - pos);
     pos = end + 1;
     if (line.empty()) continue;
     if (line[0] == '#') continue;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "ffis/vfs/file_system.hpp"
 
@@ -36,7 +37,7 @@ struct QmcaResult {
 
 /// Analyzes the text content of a scalar.dat file.  Throws QmcaError when
 /// the header is unusable or no data rows survive.
-[[nodiscard]] QmcaResult analyze_scalar_text(const std::string& text,
+[[nodiscard]] QmcaResult analyze_scalar_text(std::string_view text,
                                              const QmcaOptions& options = {});
 
 /// Convenience: read + analyze through the VFS.

@@ -22,13 +22,13 @@ void write_scalar_file(vfs::FileSystem& fs, const std::string& path,
   std::uint64_t offset = 0;
 
   const std::string header = scalar_header();
-  offset += out.pwrite(util::to_bytes(header), offset);
+  offset += out.pwrite(util::byte_view(header), offset);
 
   std::string buffer;
   buffer.reserve(options.flush_bytes + 128);
   const auto flush = [&] {
     if (buffer.empty()) return;
-    offset += out.pwrite(util::to_bytes(buffer), offset);
+    offset += out.pwrite(util::byte_view(buffer), offset);
     buffer.clear();
   };
   for (const auto& row : rows) {

@@ -207,7 +207,7 @@ void write_key_header(util::ByteWriter& w, const CheckpointStore::Key& key,
 /// Parses and verifies the header; throws std::runtime_error on mismatch.
 void read_key_header(util::ByteReader& r, const CheckpointStore::Key& key,
                      std::uint8_t kind, int stage) {
-  if (util::to_string(r.view(kMagic.size())) != kMagic) {
+  if (util::char_view(r.view(kMagic.size())) != kMagic) {
     throw std::runtime_error("bad magic");
   }
   if (const auto v = r.u32(); v != CheckpointStore::kFormatVersion) {
@@ -237,7 +237,7 @@ struct EntryLayout {
 
 EntryLayout parse_entry_layout(util::ByteSpan payload) {
   util::ByteReader r{payload};
-  if (util::to_string(r.view(kMagic.size())) != kMagic) {
+  if (util::char_view(r.view(kMagic.size())) != kMagic) {
     throw std::runtime_error("bad magic");
   }
   if (const auto v = r.u32(); v != CheckpointStore::kFormatVersion) {

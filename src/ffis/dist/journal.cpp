@@ -39,7 +39,7 @@ constexpr std::uint8_t kKindUnit = 2;
 Bytes encode_header(std::uint64_t plan_fingerprint, std::uint64_t unit_runs) {
   Bytes out;
   ByteWriter w(out);
-  w.raw(util::to_bytes(kSignature));
+  w.raw(util::byte_view(kSignature));
   w.u32(kFormatVersion);
   w.u64(plan_fingerprint);
   w.u64(unit_runs);

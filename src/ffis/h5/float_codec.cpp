@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 namespace ffis::h5 {
@@ -31,10 +32,7 @@ void validate(const FloatFormat& f) {
   }
 }
 
-}  // namespace
-
-double decode_element(std::uint64_t raw, const FloatFormat& f) {
-  validate(f);
+double decode_validated(std::uint64_t raw, const FloatFormat& f) {
   const unsigned width = f.size_bytes * 8;
 
   // Fast path: bit-exact for the canonical type (also covers inf/nan/subnormal).
@@ -89,8 +87,7 @@ double decode_element(std::uint64_t raw, const FloatFormat& f) {
   return negative ? -magnitude : magnitude;
 }
 
-std::uint64_t encode_element(double value, const FloatFormat& f) {
-  validate(f);
+std::uint64_t encode_validated(double value, const FloatFormat& f) {
   if (f.is_ieee_binary64()) return std::bit_cast<std::uint64_t>(value);
 
   const unsigned width = f.size_bytes * 8;
@@ -182,48 +179,82 @@ std::uint64_t encode_element(double value, const FloatFormat& f) {
   return raw;
 }
 
+}  // namespace
+
+bool is_host_native(const FloatFormat& format) noexcept {
+  return format.is_ieee_binary64() && std::endian::native == std::endian::little;
+}
+
+double decode_element(std::uint64_t raw, const FloatFormat& format) {
+  validate(format);
+  return decode_validated(raw, format);
+}
+
+std::uint64_t encode_element(double value, const FloatFormat& format) {
+  validate(format);
+  return encode_validated(value, format);
+}
+
 std::vector<double> decode_array(util::ByteSpan raw, std::uint64_t count,
                                  const FloatFormat& format) {
   validate(format);
   const std::size_t stride = format.size_bytes;
-  if (raw.size() < count * stride) {
-    throw H5BoundsError("raw data region too small: need " +
-                        std::to_string(count * stride) + " bytes, have " +
-                        std::to_string(raw.size()));
+  if (count > raw.size() / stride) {
+    throw H5BoundsError("raw data region too small: need " + std::to_string(count) +
+                        " elements of " + std::to_string(stride) + " bytes, have " +
+                        std::to_string(raw.size()) + " bytes");
   }
-  std::vector<double> out;
-  out.reserve(count);
+  std::vector<double> out(count);
+  if (is_host_native(format)) {
+    if (count != 0) std::memcpy(out.data(), raw.data(), count * sizeof(double));
+    return out;
+  }
+  const auto* bytes = reinterpret_cast<const unsigned char*>(raw.data());
   for (std::uint64_t i = 0; i < count; ++i) {
+    const unsigned char* element = bytes + i * stride;
+    // Assemble the word most-significant byte first from either end.
     std::uint64_t bits = 0;
-    const std::size_t base = i * stride;
     if (format.big_endian) {
-      for (std::size_t b = 0; b < stride; ++b) {
-        bits = (bits << 8) | std::to_integer<std::uint64_t>(raw[base + b]);
-      }
+      for (std::size_t b = 0; b < stride; ++b) bits = (bits << 8) | element[b];
     } else {
-      bits = util::get_le(raw, base, stride);
+      for (std::size_t b = stride; b-- > 0;) bits = (bits << 8) | element[b];
     }
-    out.push_back(decode_element(bits, format));
+    out[i] = decode_validated(bits, format);
   }
   return out;
 }
 
-util::Bytes encode_array(const std::vector<double>& values, const FloatFormat& format) {
+util::Bytes encode_array(std::span<const double> values, const FloatFormat& format) {
   validate(format);
   const std::size_t stride = format.size_bytes;
-  util::Bytes out;
-  out.reserve(values.size() * stride);
-  for (const double v : values) {
-    const std::uint64_t bits = encode_element(v, format);
+  util::Bytes out(values.size() * stride);
+  if (is_host_native(format)) {
+    if (!values.empty()) std::memcpy(out.data(), values.data(), out.size());
+    return out;
+  }
+  auto* bytes = reinterpret_cast<unsigned char*>(out.data());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::uint64_t bits = encode_validated(values[i], format);
+    unsigned char* element = bytes + i * stride;
+    // Emit the word least-significant byte first into either end.
     if (format.big_endian) {
-      for (std::size_t b = stride; b-- > 0;) {
-        out.push_back(static_cast<std::byte>((bits >> (8 * b)) & 0xff));
+      for (std::size_t b = stride; b-- > 0; bits >>= 8) {
+        element[b] = static_cast<unsigned char>(bits);
       }
     } else {
-      util::put_le(out, bits, stride);
+      for (std::size_t b = 0; b < stride; ++b, bits >>= 8) {
+        element[b] = static_cast<unsigned char>(bits);
+      }
     }
   }
   return out;
+}
+
+util::ByteSpan encoded_view(std::span<const double> values, const FloatFormat& format,
+                            util::Bytes& scratch) {
+  if (is_host_native(format)) return std::as_bytes(values);
+  scratch = encode_array(values, format);
+  return scratch;
 }
 
 }  // namespace ffis::h5

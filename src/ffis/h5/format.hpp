@@ -101,11 +101,10 @@ struct Dataset {
   std::vector<double> data;
   double fill_value = 0.0;
 
-  [[nodiscard]] std::uint64_t element_count() const noexcept {
-    std::uint64_t n = 1;
-    for (const auto d : dims) n *= d;
-    return dims.empty() ? 0 : n;
-  }
+  /// Product of the dims (0 for rank 0).  Throws H5FormatError when the
+  /// product does not fit in 64 bits: corrupted dimension fields must not
+  /// wrap around to a small (or zero) element count.
+  [[nodiscard]] std::uint64_t element_count() const;
 };
 
 /// An HDF5 file image: a root group holding datasets.

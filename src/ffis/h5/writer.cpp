@@ -343,15 +343,27 @@ WriteInfo plan_layout(const H5File& file, const WriteOptions& options) {
 
 WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path, const H5File& file,
                    const WriteOptions& options) {
+  std::vector<std::span<const double>> values;
+  values.reserve(file.datasets.size());
+  for (const auto& ds : file.datasets) values.emplace_back(ds.data);
+  return write_h5(fs, path, file, values, options);
+}
+
+WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path, const H5File& shape,
+                   std::span<const std::span<const double>> values,
+                   const WriteOptions& options) {
   // The layout depends only on names/dims/options; the values are consumed
   // here, so only the write path requires them (plan_layout accepts
   // shape-only files).
-  for (const auto& ds : file.datasets) {
-    if (ds.element_count() != ds.data.size()) {
-      throw H5FormatError("dataset dims/data mismatch: " + ds.name);
+  if (values.size() != shape.datasets.size()) {
+    throw H5FormatError("one value array per dataset required");
+  }
+  for (std::size_t i = 0; i < shape.datasets.size(); ++i) {
+    if (shape.datasets[i].element_count() != values[i].size()) {
+      throw H5FormatError("dataset dims/data mismatch: " + shape.datasets[i].name);
     }
   }
-  PackResult packed = pack(file, options);
+  PackResult packed = pack(shape, options);
 
   const std::string lock_path = path + ".lock";
   if (options.lock_file) fs.mknod(lock_path, 0600);
@@ -359,10 +371,11 @@ WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path, const H5File& f
   {
     vfs::File out(fs, path, vfs::OpenMode::Write);
 
-    // 1. Raw data, chunk by chunk.
-    for (std::size_t i = 0; i < file.datasets.size(); ++i) {
-      const auto& ds = file.datasets[i];
-      const util::Bytes raw = encode_array(ds.data, ds.format);
+    // 1. Raw data, chunk by chunk, straight from the values' memory when
+    //    the datatype is host-native.
+    util::Bytes scratch;
+    for (std::size_t i = 0; i < shape.datasets.size(); ++i) {
+      const util::ByteSpan raw = encoded_view(values[i], shape.datasets[i].format, scratch);
       if (!vfs::pwrite_all(out, raw, packed.data_addresses[i], options.data_chunk_bytes)) {
         throw H5Exception("short write of raw data");
       }

@@ -10,6 +10,7 @@
 // size — the invariant the ARD auto-correction uses.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,15 @@ struct WriteInfo {
 /// Writes `file` to `path` through `fs` using the paper's write protocol.
 [[nodiscard]] WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path,
                                  const H5File& file, const WriteOptions& options = {});
+
+/// Like write_h5, but dataset i's values come from `values[i]` instead of
+/// `shape.datasets[i].data` (which is ignored and may be empty), so a caller
+/// that holds the values elsewhere writes them without copying them into an
+/// H5File.  Same bytes, same pwrite sequence.
+[[nodiscard]] WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path,
+                                 const H5File& shape,
+                                 std::span<const std::span<const double>> values,
+                                 const WriteOptions& options = {});
 
 /// Computes the metadata layout (field map, metadata size, per-dataset ARD)
 /// without performing any I/O.  Deterministic for a given file structure —

@@ -37,9 +37,7 @@ void put_bytes(Bytes& out, ByteSpan data) {
   out.insert(out.end(), data.begin(), data.end());
 }
 
-void put_signature(Bytes& out, std::string_view sig) {
-  for (char c : sig) out.push_back(static_cast<std::byte>(c));
-}
+void put_signature(Bytes& out, std::string_view sig) { put_bytes(out, byte_view(sig)); }
 
 void flip_bits(MutableByteSpan buf, std::size_t bit_offset, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -120,17 +118,10 @@ std::size_t count_diff_bytes(ByteSpan a, ByteSpan b) noexcept {
 }
 
 Bytes to_bytes(std::string_view s) {
-  Bytes out;
-  out.reserve(s.size());
-  for (char c : s) out.push_back(static_cast<std::byte>(c));
-  return out;
+  const ByteSpan view = byte_view(s);
+  return Bytes(view.begin(), view.end());
 }
 
-std::string to_string(ByteSpan b) {
-  std::string out;
-  out.reserve(b.size());
-  for (std::byte x : b) out.push_back(static_cast<char>(std::to_integer<unsigned char>(x)));
-  return out;
-}
+std::string to_string(ByteSpan b) { return std::string(char_view(b)); }
 
 }  // namespace ffis::util

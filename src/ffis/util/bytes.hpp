@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ffis::util {
@@ -58,7 +59,17 @@ void deposit_bits(MutableByteSpan buf, std::size_t bit_offset,
 /// (the length difference counts as differing bytes).
 [[nodiscard]] std::size_t count_diff_bytes(ByteSpan a, ByteSpan b) noexcept;
 
-/// Convenience conversions between std::byte buffers and string-ish data.
+/// Views of one buffer as bytes or as characters, without a copy.  The view
+/// lives as long as the viewed buffer.
+[[nodiscard]] inline ByteSpan byte_view(std::string_view s) noexcept {
+  return std::as_bytes(std::span(s.data(), s.size()));
+}
+[[nodiscard]] inline std::string_view char_view(ByteSpan b) noexcept {
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
+/// Owning conversions between std::byte buffers and string-ish data (one
+/// bulk copy; embedded NULs are kept).
 [[nodiscard]] Bytes to_bytes(std::string_view s);
 [[nodiscard]] std::string to_string(ByteSpan b);
 

@@ -51,7 +51,7 @@ class ByteWriter {
   /// Length-prefixed (u64) string.
   void str(std::string_view s) {
     u64(s.size());
-    put_bytes(out_, to_bytes(s));
+    put_bytes(out_, byte_view(s));
   }
   /// Length-prefixed (u64) byte blob.
   void blob(ByteSpan b) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 namespace ffis::vfs {
 
@@ -30,19 +31,31 @@ Primitive parse_primitive(std::string_view name) {
                  "unknown primitive name: " + std::string(name));
 }
 
-util::Bytes read_file(FileSystem& fs, const std::string& path) {
+namespace {
+
+/// Reads the whole file into a byte-sized container (util::Bytes or
+/// std::string): one stat, then preads until the stat size or a short read.
+template <typename Buffer>
+Buffer read_whole(FileSystem& fs, const std::string& path) {
   const auto st = fs.stat(path);
   if (st.is_dir) throw VfsError(VfsError::Code::IsDirectory, path + " is a directory");
-  util::Bytes data(st.size);
+  Buffer data(st.size, typename Buffer::value_type{});
   File f(fs, path, OpenMode::Read);
+  const util::MutableByteSpan span = std::as_writable_bytes(std::span(data));
   std::size_t got = 0;
   while (got < data.size()) {
-    const std::size_t n = f.pread(util::MutableByteSpan(data).subspan(got), got);
+    const std::size_t n = f.pread(span.subspan(got), got);
     if (n == 0) break;  // concurrent truncation; return what we have
     got += n;
   }
   data.resize(got);
   return data;
+}
+
+}  // namespace
+
+util::Bytes read_file(FileSystem& fs, const std::string& path) {
+  return read_whole<util::Bytes>(fs, path);
 }
 
 void write_file(FileSystem& fs, const std::string& path, util::ByteSpan data) {
@@ -71,11 +84,11 @@ bool pwrite_all(File& file, util::ByteSpan data, std::uint64_t offset,
 }
 
 std::string read_text_file(FileSystem& fs, const std::string& path) {
-  return util::to_string(read_file(fs, path));
+  return read_whole<std::string>(fs, path);
 }
 
 void write_text_file(FileSystem& fs, const std::string& path, std::string_view text) {
-  write_file(fs, path, util::to_bytes(text));
+  write_file(fs, path, util::byte_view(text));
 }
 
 std::string parent_path(const std::string& path) {

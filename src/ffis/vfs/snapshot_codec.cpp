@@ -136,7 +136,7 @@ namespace {
 std::pair<std::uint32_t, std::uint32_t> read_header(util::ByteReader& r) {
   try {
     const util::ByteSpan sig = r.view(kMagic.size());
-    if (util::to_string(sig) != kMagic) bad("bad magic (not a snapshot blob)");
+    if (util::char_view(sig) != kMagic) bad("bad magic (not a snapshot blob)");
     const std::uint32_t version = r.u32();
     if (version != SnapshotCodec::kFormatVersion) {
       bad("unsupported format version " + std::to_string(version) + " (this build reads " +

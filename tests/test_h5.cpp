@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "ffis/h5/field_map.hpp"
 #include "ffis/h5/float_codec.hpp"
@@ -171,8 +175,245 @@ TEST(FloatCodec, ArrayRoundtripAndEndianness) {
 }
 
 TEST(FloatCodec, ArrayBoundsChecked) {
-  const auto bytes = h5::encode_array({1.0, 2.0}, FloatFormat{});
+  const auto bytes = h5::encode_array(std::vector<double>{1.0, 2.0}, FloatFormat{});
   EXPECT_THROW((void)h5::decode_array(bytes, 3, FloatFormat{}), h5::H5BoundsError);
+}
+
+// --- bulk array codec vs the per-element definition ---------------------------------
+
+/// Bit patterns the bulk paths must carry exactly: random words plus NaN
+/// payloads (quiet and signalling, both signs), +-0, the smallest and
+/// largest subnormals, +-inf and the largest finite values.
+std::vector<std::uint64_t> edge_and_random_bits(std::size_t random_count) {
+  std::vector<std::uint64_t> bits = {
+      0x0000000000000000ULL, 0x8000000000000000ULL,  // +-0
+      0x0000000000000001ULL, 0x800fffffffffffffULL,  // subnormals
+      0x000fffffffffffffULL, 0x8000000000000001ULL,
+      0x7ff0000000000000ULL, 0xfff0000000000000ULL,  // +-inf
+      0x7ff8000000000000ULL, 0xfff8000000000001ULL,  // quiet NaNs
+      0x7ff0000000000001ULL, 0x7ff4dead0000beefULL,  // signalling NaNs
+      0x7fefffffffffffffULL, 0xffefffffffffffffULL,  // +-max finite
+      0x0010000000000000ULL, 0x3ff0000000000000ULL,  // min normal, 1.0
+  };
+  util::Rng rng(20240613);
+  for (std::size_t i = 0; i < random_count; ++i) bits.push_back(rng());
+  return bits;
+}
+
+/// The per-element definition of decode_array: assemble each word in the
+/// format's byte order and decode it through decode_element.
+std::vector<std::uint64_t> decode_per_element(const util::Bytes& raw, std::size_t count,
+                                              const FloatFormat& f) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < f.size_bytes; ++b) {
+      const std::size_t at = f.big_endian ? b : f.size_bytes - 1 - b;
+      word = (word << 8) | std::to_integer<std::uint64_t>(raw[i * f.size_bytes + at]);
+    }
+    out.push_back(std::bit_cast<std::uint64_t>(h5::decode_element(word, f)));
+  }
+  return out;
+}
+
+/// The per-element definition of encode_array.
+util::Bytes encode_per_element(const std::vector<double>& values, const FloatFormat& f) {
+  util::Bytes out;
+  for (const double v : values) {
+    const std::uint64_t word = h5::encode_element(v, f);
+    for (std::size_t b = 0; b < f.size_bytes; ++b) {
+      const std::size_t shift = f.big_endian ? f.size_bytes - 1 - b : b;
+      out.push_back(static_cast<std::byte>((word >> (8 * shift)) & 0xff));
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> as_bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+FloatFormat binary32() {
+  FloatFormat f;
+  f.size_bytes = 4;
+  f.bit_precision = 32;
+  f.exponent_location = 23;
+  f.exponent_size = 8;
+  f.mantissa_size = 23;
+  f.exponent_bias = 127;
+  f.sign_location = 31;
+  return f;
+}
+
+std::vector<FloatFormat> codec_formats() {
+  FloatFormat big = FloatFormat{};
+  big.big_endian = true;
+  FloatFormat biased = FloatFormat{};
+  biased.exponent_bias = 1020;  // a corrupted bias leaves the fast path
+  FloatFormat narrow = FloatFormat{};
+  narrow.mantissa_size = 40;
+  FloatFormat msb_set = FloatFormat{};
+  msb_set.normalization = MantissaNorm::MsbSet;
+  FloatFormat big32 = binary32();
+  big32.big_endian = true;
+  return {FloatFormat{}, big, biased, narrow, msb_set, binary32(), big32};
+}
+
+TEST(FloatCodec, BulkDecodeMatchesPerElementBitForBit) {
+  const std::vector<std::uint64_t> words = edge_and_random_bits(4096);
+  util::Bytes raw;
+  for (const auto w : words) util::put_le(raw, w, 8);
+  for (const FloatFormat& f : codec_formats()) {
+    const std::size_t count = raw.size() / f.size_bytes;
+    EXPECT_EQ(as_bits(h5::decode_array(raw, count, f)), decode_per_element(raw, count, f))
+        << "size " << f.size_bytes << " big_endian " << f.big_endian << " bias "
+        << f.exponent_bias;
+  }
+}
+
+TEST(FloatCodec, BulkEncodeMatchesPerElementBitForBit) {
+  std::vector<double> values;
+  for (const auto w : edge_and_random_bits(4096)) values.push_back(std::bit_cast<double>(w));
+  for (const FloatFormat& f : codec_formats()) {
+    EXPECT_EQ(h5::encode_array(values, f), encode_per_element(values, f))
+        << "size " << f.size_bytes << " big_endian " << f.big_endian << " bias "
+        << f.exponent_bias;
+  }
+}
+
+TEST(FloatCodec, NativeArraysRoundTripEveryBitPattern) {
+  std::vector<double> values;
+  for (const auto w : edge_and_random_bits(1024)) values.push_back(std::bit_cast<double>(w));
+  const FloatFormat native{};
+  const util::Bytes raw = h5::encode_array(values, native);
+  ASSERT_EQ(raw.size(), values.size() * 8);
+  EXPECT_EQ(as_bits(h5::decode_array(raw, values.size(), native)), as_bits(values));
+  // The copy-free view carries the same bytes as the encoded buffer.
+  util::Bytes scratch;
+  const util::ByteSpan view = h5::encoded_view(values, native, scratch);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), raw.begin(), raw.end()));
+  EXPECT_EQ(h5::is_host_native(native), std::endian::native == std::endian::little);
+  if (h5::is_host_native(native)) {
+    EXPECT_TRUE(scratch.empty());
+    EXPECT_EQ(static_cast<const void*>(view.data()), static_cast<const void*>(values.data()));
+  }
+}
+
+util::Bytes bytes_of(std::initializer_list<unsigned> list) {
+  util::Bytes out;
+  for (const unsigned b : list) out.push_back(static_cast<std::byte>(b));
+  return out;
+}
+
+TEST(FloatCodec, BigEndianBinary64BytesAreFrozen) {
+  FloatFormat big{};
+  big.big_endian = true;
+  const std::vector<double> values = {1.0, -2.5, 0.0};
+  const util::Bytes want = bytes_of({0x3f, 0xf0, 0, 0, 0, 0, 0, 0,     //
+                                     0xc0, 0x04, 0, 0, 0, 0, 0, 0,     //
+                                     0, 0, 0, 0, 0, 0, 0, 0});
+  EXPECT_EQ(h5::encode_array(values, big), want);
+  EXPECT_EQ(h5::decode_array(want, values.size(), big), values);
+  util::Bytes scratch;
+  const util::ByteSpan view = h5::encoded_view(values, big, scratch);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), want.begin(), want.end()));
+}
+
+TEST(FloatCodec, FourByteFloatBytesAreFrozen) {
+  // IEEE binary32 layout through the generic path, both byte orders.
+  const std::vector<double> values = {1.0, -2.5, 0.15625, -0.0};
+  const util::Bytes little = bytes_of({0x00, 0x00, 0x80, 0x3f,  //
+                                       0x00, 0x00, 0x20, 0xc0,  //
+                                       0x00, 0x00, 0x20, 0x3e,  //
+                                       0x00, 0x00, 0x00, 0x80});
+  EXPECT_EQ(h5::encode_array(values, binary32()), little);
+  EXPECT_EQ(h5::decode_array(little, values.size(), binary32()), values);
+  FloatFormat big32 = binary32();
+  big32.big_endian = true;
+  const util::Bytes big = bytes_of({0x3f, 0x80, 0x00, 0x00,  //
+                                    0xc0, 0x20, 0x00, 0x00,  //
+                                    0x3e, 0x20, 0x00, 0x00,  //
+                                    0x80, 0x00, 0x00, 0x00});
+  EXPECT_EQ(h5::encode_array(values, big32), big);
+  EXPECT_EQ(h5::decode_array(big, values.size(), big32), values);
+}
+
+TEST(FloatCodec, ArrayCodecsValidateTheFormatOnce) {
+  FloatFormat bad{};
+  bad.normalization = static_cast<MantissaNorm>(3);
+  EXPECT_THROW((void)h5::encode_array(std::vector<double>{1.0}, bad), h5::H5FormatError);
+  EXPECT_THROW((void)h5::decode_array(util::Bytes(8), 1, bad), h5::H5FormatError);
+  // An empty array still rejects a structurally impossible format.
+  EXPECT_THROW((void)h5::encode_array(std::vector<double>{}, bad), h5::H5FormatError);
+  EXPECT_THROW((void)h5::decode_array(util::Bytes{}, 0, bad), h5::H5FormatError);
+}
+
+TEST(FloatCodec, DecodeArrayCountCannotWrapTheBoundsCheck) {
+  const util::Bytes raw(16);
+  // count * 8 wraps to 0 modulo 2^64; the region is still too small.
+  EXPECT_THROW((void)h5::decode_array(raw, 1ULL << 61, FloatFormat{}), h5::H5BoundsError);
+}
+
+// --- dims product overflow ----------------------------------------------------------
+
+TEST(Dataset, ElementCountRejectsAWrappingDimsProduct) {
+  h5::Dataset ds;
+  ds.name = "d";
+  ds.dims = {1ULL << 22, 1ULL << 22, 1ULL << 22};  // 2^66
+  EXPECT_THROW((void)ds.element_count(), h5::H5FormatError);
+  ds.dims = {1ULL << 32, 1ULL << 32};  // exactly 2^64: wraps to 0
+  EXPECT_THROW((void)ds.element_count(), h5::H5FormatError);
+  ds.dims = {1ULL << 32, (1ULL << 32) - 1};
+  EXPECT_EQ(ds.element_count(), (1ULL << 32) * ((1ULL << 32) - 1));
+  ds.dims = {0, 1ULL << 63, 1ULL << 63};  // a zero dim never overflows
+  EXPECT_EQ(ds.element_count(), 0u);
+  ds.dims.clear();
+  EXPECT_EQ(ds.element_count(), 0u);
+}
+
+TEST(Reader, CorruptedDimsWhoseProductWrapsCrash) {
+  vfs::MemFs fs;
+  const h5::H5File file = small_file(8);
+  const auto info = h5::write_h5(fs, "/f.h5", file);
+  for (int d = 0; d < 3; ++d) {
+    const auto* dim = info.field_map.find_by_name(
+        "objectHeader[baryon_density].dataspace.dimension[" + std::to_string(d) + "]");
+    ASSERT_NE(dim, nullptr);
+    util::Bytes value;
+    util::put_le(value, 1ULL << 22, 8);
+    vfs::File f(fs, "/f.h5", vfs::OpenMode::ReadWrite);
+    ASSERT_EQ(f.pwrite(value, dim->offset), 8u);
+  }
+  EXPECT_THROW((void)h5::read_h5(fs, "/f.h5"), h5::H5FormatError);
+}
+
+TEST(Writer, ValueSpansWriteTheSameBytesAndCalls) {
+  const h5::H5File file = small_file(16);
+  vfs::MemFs a_backing, b_backing;
+  vfs::CountingFs a(a_backing), b(b_backing);
+  const h5::WriteOptions options{.data_chunk_bytes = 1000};
+  (void)h5::write_h5(a, "/f.h5", file, options);
+
+  h5::H5File shape;
+  shape.datasets.push_back(file.datasets[0]);
+  shape.datasets[0].data.clear();
+  const std::span<const double> values[] = {file.datasets[0].data};
+  (void)h5::write_h5(b, "/f.h5", shape, values, options);
+
+  EXPECT_EQ(vfs::read_file(a_backing, "/f.h5"), vfs::read_file(b_backing, "/f.h5"));
+  EXPECT_EQ(a.count(vfs::Primitive::Pwrite), b.count(vfs::Primitive::Pwrite));
+  EXPECT_EQ(a.bytes_written(), b.bytes_written());
+  // 16^3 doubles in 1000-byte slices, then metadata and the EOF refresh.
+  EXPECT_EQ(b.count(vfs::Primitive::Pwrite), (16u * 16 * 16 * 8 + 999) / 1000 + 2);
+
+  EXPECT_THROW((void)h5::write_h5(b, "/g.h5", shape, std::span<const std::span<const double>>{},
+                                  options),
+               h5::H5FormatError);
+  const std::vector<double> short_values(7);
+  const std::span<const double> wrong[] = {short_values};
+  EXPECT_THROW((void)h5::write_h5(b, "/g.h5", shape, wrong, options), h5::H5FormatError);
 }
 
 // --- writer / reader round trip -----------------------------------------------------

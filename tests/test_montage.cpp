@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "ffis/apps/montage/fits.hpp"
 #include "ffis/apps/montage/image.hpp"
@@ -99,6 +101,69 @@ TEST(Fits, FileIsBlockAlignedAndBigEndian) {
   const auto raw = vfs::read_file(fs, "/img.fits");
   EXPECT_EQ(std::to_integer<int>(raw[2880]), 0x3f);
   EXPECT_EQ(std::to_integer<int>(raw[2881]), 0xf0);
+}
+
+TEST(Fits, RandomBitPatternsRoundTripExactly) {
+  // Every pixel word, NaN payloads and subnormals included, must survive the
+  // bulk big-endian swap in both directions.
+  Image img(37, 11, 0.25, -3.5);
+  util::Rng rng(97);
+  for (auto& p : img.pixels) p = std::bit_cast<double>(rng());
+  img.pixels[0] = std::bit_cast<double>(0x7ff4dead0000beefULL);  // signalling NaN
+  img.pixels[1] = std::bit_cast<double>(0x8000000000000001ULL);  // -subnormal
+  img.pixels[2] = -0.0;
+  vfs::MemFs fs;
+  montage::write_fits(fs, "/r.fits", img);
+  const Image back = montage::read_fits(fs, "/r.fits");
+  ASSERT_EQ(back.pixels.size(), img.pixels.size());
+  for (std::size_t i = 0; i < img.pixels.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back.pixels[i]),
+              std::bit_cast<std::uint64_t>(img.pixels[i]))
+        << "pixel " << i;
+  }
+}
+
+TEST(Fits, TwoByTwoImageBytesAreFrozen) {
+  Image img(2, 2, 1.5, -2.0);
+  img.pixels = {1.0, -2.0, 0.5, std::bit_cast<double>(0x0123456789abcdefULL)};
+  vfs::MemFs fs;
+  vfs::CountingFs counting(fs);
+  montage::write_fits(counting, "/f.fits", img);
+  // One header pwrite plus one data pwrite (32 pixel bytes padded to 2880).
+  EXPECT_EQ(counting.count(vfs::Primitive::Pwrite), 2u);
+  const auto raw = vfs::read_file(fs, "/f.fits");
+  ASSERT_EQ(raw.size(), 2u * 2880);
+  const std::string header = util::to_string(util::ByteSpan(raw).first(2880));
+  EXPECT_EQ(header.substr(0, 80),
+            "SIMPLE  =                    T" + std::string(50, ' '));
+  EXPECT_EQ(header.substr(240, 80),
+            "NAXIS1  =                    2" + std::string(50, ' '));
+  EXPECT_EQ(header.substr(400, 80),
+            "CRVAL1  =             1.500000" + std::string(50, ' '));
+  EXPECT_EQ(header.substr(720, 80), "END" + std::string(77, ' '));
+  EXPECT_EQ(header.find_first_not_of(' ', 800), std::string::npos);
+  const unsigned want[32] = {0x3f, 0xf0, 0, 0, 0, 0, 0, 0,  //
+                             0xc0, 0x00, 0, 0, 0, 0, 0, 0,  //
+                             0x3f, 0xe0, 0, 0, 0, 0, 0, 0,  //
+                             0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef};
+  for (std::size_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(std::to_integer<unsigned>(raw[2880 + i]), want[i]) << "byte " << i;
+  }
+  for (std::size_t i = 2880 + 32; i < raw.size(); ++i) {
+    ASSERT_EQ(std::to_integer<unsigned>(raw[i]), 0u) << "padding byte " << i;
+  }
+}
+
+TEST(Fits, NulInsideACardValueEndsTheValue) {
+  Image img(3, 2, 0, 0, 1.0);
+  vfs::MemFs fs;
+  montage::write_fits(fs, "/n.fits", img);
+  // NAXIS2's value field is "                   2" (card 4, bytes 330..349);
+  // a NUL before the digit leaves strtod nothing to parse.
+  vfs::File f(fs, "/n.fits", vfs::OpenMode::ReadWrite);
+  const std::byte nul[1] = {std::byte{0}};
+  ASSERT_EQ(f.pwrite(nul, 4 * 80 + 10 + 5), 1u);
+  EXPECT_THROW((void)montage::read_fits(fs, "/n.fits"), montage::FitsError);
 }
 
 TEST(Fits, CorruptedHeaderCrashes) {

@@ -77,6 +77,15 @@ TEST(DensityField, RejectsMismatchedSizes) {
   EXPECT_THROW((void)nyx::generate_density_field(tiny), std::invalid_argument);
 }
 
+TEST(DensityField, RejectsAnEdgeWhoseCubeOverflows) {
+  // (2^22)^3 = 2^66 wraps to 0 in 64 bits, so an empty vector would match.
+  EXPECT_THROW(DensityField(std::size_t{1} << 22, {}), std::invalid_argument);
+  EXPECT_THROW(DensityField(std::size_t{1} << 32, {}), std::invalid_argument);
+  EXPECT_THROW(DensityField(std::numeric_limits<std::size_t>::max(), {}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(DensityField(0, {}));
+}
+
 // --- halo finder -----------------------------------------------------------------
 
 DensityField uniform_field(std::size_t n, double value = 1.0) {
@@ -210,6 +219,28 @@ TEST(Plotfile, NonCubicDatasetRejected) {
   file.datasets.push_back(std::move(ds));
   (void)h5::write_h5(fs, "/bad.h5", file);
   EXPECT_THROW((void)nyx::read_plotfile(fs, "/bad.h5"), h5::H5FormatError);
+}
+
+TEST(Plotfile, DimsCorruptedToWrapTheCellCountCrash) {
+  // A plotfile whose three dims read 2^22: the 2^66-cell product used to
+  // wrap to 0, parse as an empty dataset and come back as a DensityField
+  // with n = 4194304 and no data.
+  FieldConfig config;
+  config.n = 16;
+  const auto field = nyx::generate_density_field(config);
+  vfs::MemFs fs;
+  const auto info = nyx::write_plotfile(fs, "/plt.h5", field);
+  util::Bytes dim;
+  util::put_le(dim, 1ULL << 22, 8);
+  for (int d = 0; d < 3; ++d) {
+    const std::string name = std::string("objectHeader[") + nyx::kDensityDatasetName +
+                             "].dataspace.dimension[" + std::to_string(d) + "]";
+    const auto* entry = info.field_map.find_by_name(name);
+    ASSERT_NE(entry, nullptr) << name;
+    vfs::File f(fs, "/plt.h5", vfs::OpenMode::ReadWrite);
+    ASSERT_EQ(f.pwrite(dim, entry->offset), 8u);
+  }
+  EXPECT_THROW((void)nyx::read_plotfile(fs, "/plt.h5"), h5::H5FormatError);
 }
 
 // --- NyxApp ------------------------------------------------------------------------

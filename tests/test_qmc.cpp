@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "ffis/apps/qmc/dmc.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
@@ -242,6 +244,39 @@ TEST(Qmca, AnalyzesCleanSeries) {
   EXPECT_FALSE(result.nul_bytes_found);
   EXPECT_NEAR(result.mean_energy, -2.9, 0.002);
   EXPECT_GT(result.error_bar, 0.0);
+}
+
+TEST(Qmca, RowsKeepStrtodSemantics) {
+  // Hex floats, leading whitespace and signed zero parse; inf/nan energies
+  // parse but are not finite, so they are skipped like garbage; a NUL inside
+  // a row ends the row where strtod stops.
+  std::string text = qmc::scalar_header();
+  text += "   0   0x1.8p1 0 0\n";            // 3.0
+  text += "\t1 -0x1p-1 0 0\n";              // -0.5
+  text += "2 inf 0 0\n";                     // skipped: not finite
+  text += "3 -nan 0 0\n";                    // skipped: not finite
+  text += std::string("4\0 7.0 0 0\n", 11);  // skipped: the row ends after "4"
+  text += "5 +1.5e0 0 0\n";                  // 1.5
+  text += "# a comment row\n";
+  text += "\n";
+  text += "6 2";                              // last row without a newline
+  const auto result = qmc::analyze_scalar_text(text, {.equilibration_rows = 0});
+  EXPECT_EQ(result.rows_used, 4u);
+  EXPECT_EQ(result.rows_skipped, 3u);
+  EXPECT_TRUE(result.nul_bytes_found);
+  EXPECT_DOUBLE_EQ(result.mean_energy, (3.0 - 0.5 + 1.5 + 2.0) / 4.0);
+}
+
+TEST(Qmca, ParsesAViewIntoALargerBuffer) {
+  // The text is a view; bytes after its end must never be read.
+  std::string backing = qmc::scalar_header();
+  backing += "0 1.0 0 0\n1 3.0 0 0\n2 5.0";
+  const std::size_t end = backing.size() - 1;  // cut "5.0" to "5."
+  backing += "99 0 0\n";
+  const auto result =
+      qmc::analyze_scalar_text(std::string_view(backing).substr(0, end), {.equilibration_rows = 0});
+  EXPECT_EQ(result.rows_used, 3u);
+  EXPECT_DOUBLE_EQ(result.mean_energy, 3.0);
 }
 
 TEST(Qmca, MissingHeaderThrows) {

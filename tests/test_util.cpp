@@ -11,6 +11,8 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "ffis/util/bytes.hpp"
 #include "ffis/util/chunking.hpp"
@@ -236,6 +238,42 @@ TEST(Bytes, CountDiffBytes) {
   EXPECT_EQ(count_diff_bytes(a, b), 2u);
   b.push_back(std::byte{'z'});
   EXPECT_EQ(count_diff_bytes(a, b), 3u);  // length difference counts
+}
+
+TEST(Bytes, StringConversionsKeepEmbeddedNuls) {
+  const std::string text("a\0b\0\0c", 6);
+  const Bytes bytes = to_bytes(text);
+  ASSERT_EQ(bytes.size(), 6u);
+  EXPECT_EQ(bytes[1], std::byte{0});
+  EXPECT_EQ(bytes[5], std::byte{'c'});
+  EXPECT_EQ(to_string(bytes), text);
+  EXPECT_EQ(to_string(bytes).size(), 6u);
+
+  // The views alias the buffer instead of copying it.
+  const ByteSpan view = byte_view(text);
+  EXPECT_EQ(static_cast<const void*>(view.data()), static_cast<const void*>(text.data()));
+  EXPECT_EQ(view.size(), 6u);
+  EXPECT_EQ(char_view(bytes), text);
+  EXPECT_EQ(static_cast<const void*>(char_view(bytes).data()),
+            static_cast<const void*>(bytes.data()));
+
+  // Every byte value survives the round trip.
+  Bytes all;
+  for (unsigned b = 0; b < 256; ++b) all.push_back(static_cast<std::byte>(b));
+  EXPECT_EQ(to_bytes(to_string(all)), all);
+}
+
+TEST(Bytes, StringConversionsOfEmptyInput) {
+  EXPECT_TRUE(to_bytes("").empty());
+  EXPECT_TRUE(to_bytes(std::string_view{}).empty());
+  EXPECT_TRUE(to_string(ByteSpan{}).empty());
+  EXPECT_TRUE(byte_view(std::string_view{}).empty());
+  EXPECT_TRUE(char_view(ByteSpan{}).empty());
+  Bytes out = to_bytes("x");
+  put_signature(out, "");
+  EXPECT_EQ(out.size(), 1u);
+  put_signature(out, "TREE");
+  EXPECT_EQ(to_string(out), "xTREE");
 }
 
 TEST(Bytes, HexdumpShowsOffsetsAndAscii) {
