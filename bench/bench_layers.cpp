@@ -5,7 +5,10 @@
 //     and big-endian binary64 (the per-element path);
 //   * the Nyx plotfile writer and reader end to end through MemFs;
 //   * FITS write/read of one Montage raw tile;
-//   * util::to_bytes / util::to_string on 1 MiB.
+//   * util::to_bytes / util::to_string on 1 MiB;
+//   * the QMC DMC series (1500 rows): writing it by replaying the rendered
+//     text vs rendering it first, QMCA over the whole file vs the diff-driven
+//     splice after one flipped byte, and the VMC + DMC trace itself.
 //
 // Results go to BENCH_layers.json (google-benchmark JSON) unless the caller
 // passes its own --benchmark_out:
@@ -18,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +30,8 @@
 #include "ffis/apps/montage/scene.hpp"
 #include "ffis/apps/nyx/density_field.hpp"
 #include "ffis/apps/nyx/plotfile.hpp"
+#include "ffis/apps/qmc/qmc_app.hpp"
+#include "ffis/apps/qmc/scalar_io.hpp"
 #include "ffis/h5/float_codec.hpp"
 #include "ffis/util/bytes.hpp"
 #include "ffis/vfs/mem_fs.hpp"
@@ -137,6 +143,86 @@ void BM_ToString(benchmark::State& state) {
   set_bytes(state, kTextBytes);
 }
 
+constexpr std::uint64_t kQmcSeed = 7;
+
+/// The default QMC app with its trace for kQmcSeed computed once.
+const qmc::QmcApp& qmc_app() {
+  static const qmc::QmcApp app;
+  return app;
+}
+
+// Arg 0: replay the cached rendered series (what a run does); arg 1: render
+// the rows first (write_scalar_file, the per-run cost before the cache).
+void BM_QmcWriteScalarFile(benchmark::State& state) {
+  const auto trace = qmc_app().trace(kQmcSeed);
+  const qmc::ScalarIoOptions& io = qmc_app().config().io;
+  const qmc::RenderedSeries& series = trace->dmc_series.get(trace->dmc_rows, io);
+  vfs::MemFs fs;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      qmc::write_rendered_series(fs, "/s001.dat", series);
+    } else {
+      qmc::write_scalar_file(fs, "/s001.dat", trace->dmc_rows, io);
+    }
+    benchmark::DoNotOptimize(fs.stat("/s001.dat").size);
+  }
+  set_bytes(state, series.text.size());
+}
+
+/// A golden QMC tree, its analysis and artifacts, and a fork of it with one
+/// byte of a mid-series row flipped.
+struct QmcDirty {
+  QmcDirty() {
+    qmc_app().run(core::RunContext{.fs = golden_tree, .app_seed = kQmcSeed});
+    golden = qmc_app().analyze(golden_tree);
+    vfs::MemFs scratch = golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
+    artifacts = qmc_app().golden_artifacts(scratch, golden);
+    run = golden_tree.fork_unique(vfs::MemFs::Concurrency::SingleThread);
+    const std::string path = qmc_app().dmc_path();
+    const std::size_t size = run->stat(path).size;
+    vfs::File(*run, path, vfs::OpenMode::ReadWrite).pwrite(util::byte_view("x"), size / 2);
+    diff = run->diff_tree(golden_tree);
+  }
+  vfs::MemFs golden_tree;
+  core::AnalysisResult golden;
+  std::shared_ptr<const core::GoldenArtifacts> artifacts;
+  std::unique_ptr<vfs::MemFs> run;
+  vfs::FsDiff diff;
+};
+
+const QmcDirty& qmc_dirty() {
+  static const QmcDirty d;
+  return d;
+}
+
+void BM_QmcAnalyzeFull(benchmark::State& state) {
+  const QmcDirty& d = qmc_dirty();
+  for (auto _ : state) {
+    const core::AnalysisResult r = qmc_app().analyze(*d.run);
+    benchmark::DoNotOptimize(r.comparison_blob.data());
+  }
+  set_bytes(state, d.golden.comparison_blob.size());
+}
+
+void BM_QmcAnalyzeDirty(benchmark::State& state) {
+  const QmcDirty& d = qmc_dirty();
+  for (auto _ : state) {
+    const core::AnalysisResult r =
+        qmc_app().analyze_dirty(*d.run, d.diff, d.golden, d.artifacts.get());
+    benchmark::DoNotOptimize(r.comparison_blob.data());
+  }
+  set_bytes(state, d.golden.comparison_blob.size());
+}
+
+/// The VMC + DMC simulation of one golden run (a fresh app per iteration, so
+/// nothing is cached).
+void BM_QmcTrace(benchmark::State& state) {
+  for (auto _ : state) {
+    const qmc::QmcApp app;
+    benchmark::DoNotOptimize(app.trace(kQmcSeed)->dmc_mean_energy);
+  }
+}
+
 }  // namespace
 
 BENCHMARK(BM_H5EncodeArray)->ArgName("big_endian")->Arg(0)->Arg(1);
@@ -147,6 +233,10 @@ BENCHMARK(BM_FitsWrite);
 BENCHMARK(BM_FitsRead);
 BENCHMARK(BM_ToBytes);
 BENCHMARK(BM_ToString);
+BENCHMARK(BM_QmcWriteScalarFile)->ArgName("render")->Arg(0)->Arg(1);
+BENCHMARK(BM_QmcAnalyzeFull);
+BENCHMARK(BM_QmcAnalyzeDirty);
+BENCHMARK(BM_QmcTrace)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);

@@ -216,25 +216,25 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
   // (a leaked .lock marker, a stray file) analyzes exactly like the golden.
   if (!diff.touches(path)) return golden;
 
-  const auto full = [&](FullAnalysisReason reason) {
+  const auto full = [&](core::FullAnalysisReason reason) {
     core::AnalysisResult result = analyze(fs);
-    result.metrics[kFullAnalysisReasonMetric] = static_cast<double>(reason);
+    result.metrics[core::kFullAnalysisReasonMetric] = static_cast<double>(reason);
     return result;
   };
   const auto* state = dynamic_cast<const GoldenState*>(artifacts);
-  if (state == nullptr) return full(FullAnalysisReason::NoGoldenArtifacts);
+  if (state == nullptr) return full(core::FullAnalysisReason::NoGoldenArtifacts);
   // Splicing is provably equivalent only for a pure in-place content change
   // whose dirty ranges sit entirely inside the dataset's raw data: metadata
   // corruption must go through the real parser (crashes, ARD shifts, format
   // re-interpretation), and size changes shift what reads return.
   const vfs::FileDiff* fd = diff.find(path);
-  if (fd == nullptr || fd->metadata_changed) return full(FullAnalysisReason::MetadataChanged);
+  if (fd == nullptr || fd->metadata_changed) return full(core::FullAnalysisReason::MetadataChanged);
   if (fd->size != fd->base_size || fd->size != state->file_size) {
-    return full(FullAnalysisReason::SizeChanged);
+    return full(core::FullAnalysisReason::SizeChanged);
   }
   for (const vfs::ByteRange& r : fd->ranges) {
     if (r.offset < state->data_begin || r.end() > state->data_end) {
-      return full(FullAnalysisReason::OutsideDataRegion);
+      return full(core::FullAnalysisReason::OutsideDataRegion);
     }
   }
 
@@ -255,7 +255,7 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
     if (first >= last) continue;  // both ends of one element
     raw.resize(static_cast<std::size_t>((last - first) * element));
     if (file.pread(raw, state->data_begin + first * element) != raw.size()) {
-      return full(FullAnalysisReason::ShortRead);  // despite matching sizes
+      return full(core::FullAnalysisReason::ShortRead);  // despite matching sizes
     }
     const std::vector<double> decoded = h5::decode_array(raw, last - first, state->format);
     for (std::size_t k = 0; k < decoded.size(); ++k) {
@@ -277,8 +277,8 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
   for (const CellEdit& e : edits) values[e.index] = e.value;
   core::AnalysisResult result = analysis_from_catalog(
       find_halos(DensityField(config_.field.n, std::move(values)), config_.halo));
-  result.metrics[kFullAnalysisReasonMetric] =
-      static_cast<double>(FullAnalysisReason::ThresholdOutsideWindow);
+  result.metrics[core::kFullAnalysisReasonMetric] =
+      static_cast<double>(core::FullAnalysisReason::ThresholdOutsideWindow);
   return result;
 }
 

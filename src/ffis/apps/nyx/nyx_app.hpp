@@ -45,20 +45,6 @@ struct NyxConfig {
   double average_value_tolerance = 1e-3;
 };
 
-/// Why NyxApp::analyze_dirty ran a full analysis instead of splicing the
-/// dirty cells into the golden state.  Carried as the value of
-/// metrics[kFullAnalysisReasonMetric] (absent on the spliced path).
-enum class FullAnalysisReason : int {
-  MetadataChanged = 1,   ///< mode/kind changed, or the path was created,
-                         ///< deleted or renamed
-  SizeChanged = 2,       ///< the plotfile's size differs from the golden one
-  OutsideDataRegion = 3, ///< a dirty range touches bytes outside the raw data
-  ShortRead = 4,         ///< re-reading a dirty range came back short
-  ThresholdOutsideWindow = 5,  ///< the shifted threshold left the golden index
-  NoGoldenArtifacts = 6,       ///< no golden state to splice into
-};
-inline constexpr const char* kFullAnalysisReasonMetric = "full_analysis_reason";
-
 class NyxApp final : public core::Application {
  public:
   explicit NyxApp(NyxConfig config = {});
@@ -90,7 +76,7 @@ class NyxApp final : public core::Application {
   /// analyze(), so corrupted-metadata crashes and ARD shifts behave
   /// identically.  A threshold shift beyond the golden index window runs
   /// find_halos on the reconstructed field.  Every full path names its
-  /// FullAnalysisReason in the result's metrics.
+  /// core::FullAnalysisReason in the result's metrics.
   [[nodiscard]] core::AnalysisResult analyze_dirty(
       vfs::FileSystem& fs, const vfs::FsDiff& diff, const core::AnalysisResult& golden,
       const core::GoldenArtifacts* artifacts) const override;

@@ -1,7 +1,9 @@
 #include "ffis/apps/qmc/qmc_app.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -12,6 +14,12 @@
 namespace ffis::qmc {
 
 QmcApp::QmcApp(QmcAppConfig config) : config_(std::move(config)) {}
+
+const RenderedSeries& QmcApp::LazySeries::get(const std::vector<ScalarRow>& rows,
+                                              const ScalarIoOptions& options) const {
+  std::call_once(once_, [&] { series_ = render_scalar_series(rows, options); });
+  return series_;
+}
 
 std::shared_ptr<const QmcApp::Trace> QmcApp::trace(std::uint64_t seed) const {
   std::lock_guard lock(cache_mutex_);
@@ -48,12 +56,12 @@ void QmcApp::run_range(const core::RunContext& ctx, bool ingest, int first,
 
   if (first <= 1 && 1 <= last) {
     ctx.enter_stage(1);
-    write_scalar_file(ctx.fs, vmc_path(), t->vmc_rows, config_.io);
+    write_rendered_series(ctx.fs, vmc_path(), t->vmc_series.get(t->vmc_rows, config_.io));
     ctx.leave_stage(1);
   }
   if (first <= 2 && 2 <= last) {
     ctx.enter_stage(2);
-    write_scalar_file(ctx.fs, dmc_path(), t->dmc_rows, config_.io);
+    write_rendered_series(ctx.fs, dmc_path(), t->dmc_series.get(t->dmc_rows, config_.io));
     ctx.leave_stage(2);
   }
 }
@@ -74,13 +82,9 @@ void QmcApp::run_from(const core::RunContext& ctx, int stage) const {
   run_range(ctx, false, stage, stage_count());
 }
 
-core::AnalysisResult QmcApp::analyze(vfs::FileSystem& fs) const {
-  // The paper compares He.s001.scalar.dat bit-wise and then post-analyzes it.
-  const util::Bytes s001 = vfs::read_file(fs, dmc_path());
-  const QmcaResult qmca = analyze_scalar_text(util::char_view(s001), config_.qmca);
-
+core::AnalysisResult QmcApp::analysis_from(const QmcaResult& qmca, util::Bytes s001) {
   core::AnalysisResult result;
-  result.comparison_blob = s001;
+  result.comparison_blob = std::move(s001);
   result.report = util::fmt("He series 001: E = {:.6f} +/- {:.6f} Ha ({} rows, {} skipped{})\n",
                             qmca.mean_energy, qmca.error_bar, qmca.rows_used,
                             qmca.rows_skipped,
@@ -93,11 +97,125 @@ core::AnalysisResult QmcApp::analyze(vfs::FileSystem& fs) const {
   return result;
 }
 
+core::AnalysisResult QmcApp::analyze_series(util::Bytes s001) const {
+  const QmcaResult qmca = analyze_scalar_text(util::char_view(s001), config_.qmca);
+  return analysis_from(qmca, std::move(s001));
+}
+
+core::AnalysisResult QmcApp::analyze(vfs::FileSystem& fs) const {
+  // The paper compares He.s001.scalar.dat bit-wise and then post-analyzes it.
+  return analyze_series(vfs::read_file(fs, dmc_path()));
+}
+
+/// The golden s001 parse for diff-driven re-analysis.  Shared by every cell
+/// whose golden series has the same bytes.
+struct QmcApp::GoldenState final : core::GoldenArtifacts {
+  util::Bytes text;               ///< golden s001 bytes (also the sharing key)
+  std::size_t header_end = 0;     ///< offset of the header line's '\n'
+  ScalarSeries series;            ///< every golden data row, parsed
+  std::vector<ScalarLine> lines;  ///< one entry per golden data line
+};
+
+std::shared_ptr<const core::GoldenArtifacts> QmcApp::golden_artifacts(
+    vfs::FileSystem& /*golden_fs*/, const core::AnalysisResult& golden) const {
+  // analyze() made the comparison blob the raw golden s001 bytes, so the
+  // golden series needs no re-read.
+  const util::Bytes& text = golden.comparison_blob;
+  std::lock_guard lock(golden_mutex_);
+  std::erase_if(golden_states_, [](const auto& weak) { return weak.expired(); });
+  for (const auto& weak : golden_states_) {
+    std::shared_ptr<const GoldenState> state = weak.lock();
+    if (state != nullptr && state->text == text) return state;
+  }
+
+  auto state = std::make_shared<GoldenState>();
+  state->text = text;
+  const std::string_view view = util::char_view(state->text);
+  try {
+    state->header_end = check_scalar_header(view);
+  } catch (const QmcaError&) {
+    return nullptr;  // analyze_dirty falls back to the full analysis
+  }
+  // A fault-free series is NUL-free, which lets analyze_dirty look for NUL
+  // bytes in the dirty ranges only.
+  if (view.find('\0', state->header_end + 1) != std::string_view::npos) return nullptr;
+  parse_scalar_lines(view, state->header_end + 1, view.size(), state->series, &state->lines);
+  golden_states_.push_back(state);
+  return state;
+}
+
 core::AnalysisResult QmcApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDiff& diff,
                                            const core::AnalysisResult& golden,
-                                           const core::GoldenArtifacts* /*artifacts*/) const {
-  if (!diff.touches(dmc_path())) return golden;
-  return analyze(fs);
+                                           const core::GoldenArtifacts* artifacts) const {
+  const std::string path = dmc_path();
+  if (!diff.touches(path)) return golden;
+
+  const auto with_reason = [](core::AnalysisResult result, core::FullAnalysisReason reason) {
+    result.metrics[core::kFullAnalysisReasonMetric] = static_cast<double>(reason);
+    return result;
+  };
+  const auto* state = dynamic_cast<const GoldenState*>(artifacts);
+  if (state == nullptr) {
+    return with_reason(analyze(fs), core::FullAnalysisReason::NoGoldenArtifacts);
+  }
+  const vfs::FileDiff* fd = diff.find(path);
+  if (fd == nullptr || fd->metadata_changed || fd->ranges.empty()) {
+    return with_reason(analyze(fs), core::FullAnalysisReason::MetadataChanged);
+  }
+  // Splicing is provably equivalent only for a pure in-place change below
+  // the header: a size change moves every later byte, and the header decides
+  // whether QMCA parses the file at all.
+  util::Bytes s001 = vfs::read_file(fs, path);
+  const std::vector<vfs::ByteRange>& ranges = fd->ranges;
+  if (fd->size != fd->base_size || s001.size() != state->text.size()) {
+    return with_reason(analyze_series(std::move(s001)), core::FullAnalysisReason::SizeChanged);
+  }
+  if (ranges.front().offset <= state->header_end) {
+    return with_reason(analyze_series(std::move(s001)),
+                       core::FullAnalysisReason::OutsideDataRegion);
+  }
+  const std::string_view text = util::char_view(s001);
+
+  // Every byte before the first dirty one is golden, so the golden line
+  // holding it starts a line in the faulty text too.  Every byte from the
+  // first '\n' at or after the end of the last range is golden as well, so
+  // that '\n' ends a golden line and the lines after it parse as they did.
+  const std::vector<ScalarLine>& lines = state->lines;
+  const auto line_of = [&lines](std::size_t offset) {
+    const auto it = std::upper_bound(
+        lines.begin(), lines.end(), offset,
+        [](std::size_t o, const ScalarLine& line) { return o < line.start; });
+    return static_cast<std::size_t>(it - lines.begin()) - 1;
+  };
+  const std::size_t first = line_of(ranges.front().offset);
+  const std::size_t resync = text.find('\n', ranges.back().end());
+  const std::size_t stop = resync == std::string_view::npos ? text.size() : resync + 1;
+  const std::size_t suffix = resync == std::string_view::npos ? lines.size() : line_of(resync) + 1;
+
+  const ScalarSeries& gold = state->series;
+  const std::size_t suffix_energies =
+      suffix < lines.size() ? lines[suffix].energies_before : gold.energies.size();
+  const std::uint64_t suffix_skipped =
+      suffix < lines.size() ? lines[suffix].skipped_before : gold.rows_skipped;
+  ScalarSeries spliced;
+  spliced.energies.reserve(gold.energies.size());
+  spliced.energies.assign(gold.energies.begin(),
+                          gold.energies.begin() +
+                              static_cast<std::ptrdiff_t>(lines[first].energies_before));
+  spliced.rows_skipped = lines[first].skipped_before;
+  parse_scalar_lines(text, lines[first].start, stop, spliced);
+  spliced.energies.insert(spliced.energies.end(),
+                          gold.energies.begin() + static_cast<std::ptrdiff_t>(suffix_energies),
+                          gold.energies.end());
+  spliced.rows_skipped += gold.rows_skipped - suffix_skipped;
+
+  // The golden series has no NUL byte, so a NUL can only sit in a range.
+  bool nul = false;
+  for (const vfs::ByteRange& r : ranges) {
+    nul = nul || std::memchr(text.data() + r.offset, '\0', r.length) != nullptr;
+  }
+
+  return analysis_from(summarize_scalar_series(spliced, nul, config_.qmca), std::move(s001));
 }
 
 core::Outcome QmcApp::classify(const core::AnalysisResult& /*golden*/,

@@ -5,7 +5,10 @@ namespace ffis::qmc {
 VmcResult run_vmc(const TrialWavefunction& psi, const VmcConfig& config, util::Rng& rng) {
   VmcResult result;
   result.walkers.resize(config.walkers);
+  // ln psi and E_L of each walker's current position: a rejected move keeps
+  // both, so only accepted moves evaluate them again.
   std::vector<double> log_psi(config.walkers);
+  std::vector<double> energy(config.walkers);
 
   // Initialize electrons around the nucleus.
   for (auto& w : result.walkers) {
@@ -15,7 +18,9 @@ VmcResult run_vmc(const TrialWavefunction& psi, const VmcConfig& config, util::R
     }
   }
   for (std::uint64_t i = 0; i < config.walkers; ++i) {
-    log_psi[i] = psi.log_psi(result.walkers[i]);
+    const WalkerGeometry g = psi.geometry(result.walkers[i]);
+    log_psi[i] = psi.log_psi(g);
+    energy[i] = psi.local_energy(result.walkers[i], g);
   }
 
   std::uint64_t accepted = 0, attempted = 0;
@@ -30,14 +35,16 @@ VmcResult run_vmc(const TrialWavefunction& psi, const VmcConfig& config, util::R
         proposal.r1[k] += rng.gaussian(0.0, config.step_sigma);
         proposal.r2[k] += rng.gaussian(0.0, config.step_sigma);
       }
-      const double log_psi_new = psi.log_psi(proposal);
+      const WalkerGeometry g = psi.geometry(proposal);
+      const double log_psi_new = psi.log_psi(g);
       ++attempted;
       if (std::log(rng.uniform01() + 1e-300) < 2.0 * (log_psi_new - log_psi[i])) {
         result.walkers[i] = proposal;
         log_psi[i] = log_psi_new;
+        energy[i] = psi.local_energy(proposal, g);
         ++accepted;
       }
-      const double e = psi.local_energy(result.walkers[i]);
+      const double e = energy[i];
       sum_e += e;
       sum_e2 += e * e;
     }

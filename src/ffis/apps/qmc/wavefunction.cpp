@@ -12,22 +12,31 @@ Vec3 sub(const Vec3& x, const Vec3& y) noexcept {
 }
 }  // namespace
 
-double TrialWavefunction::log_psi(const Walker& w) const noexcept {
-  const double r1 = std::max(norm(w.r1), kMinDistance);
-  const double r2 = std::max(norm(w.r2), kMinDistance);
-  const double r12 = std::max(norm(sub(w.r1, w.r2)), kMinDistance);
-  return -z * (r1 + r2) + a * r12 / (1.0 + b * r12);
+WalkerGeometry TrialWavefunction::geometry(const Walker& w) const noexcept {
+  WalkerGeometry g;
+  g.r1 = std::max(norm(w.r1), kMinDistance);
+  g.r2 = std::max(norm(w.r2), kMinDistance);
+  g.d12 = sub(w.r1, w.r2);
+  g.r12 = std::max(norm(g.d12), kMinDistance);
+  // u(r12) = a r12 / (1 + b r12)
+  g.denom = 1.0 + b * g.r12;
+  g.up = a / (g.denom * g.denom);  // u'
+  return g;
 }
 
-double TrialWavefunction::local_energy(const Walker& w) const noexcept {
-  const double r1 = std::max(norm(w.r1), kMinDistance);
-  const double r2 = std::max(norm(w.r2), kMinDistance);
-  const Vec3 d12 = sub(w.r1, w.r2);
-  const double r12 = std::max(norm(d12), kMinDistance);
+double TrialWavefunction::log_psi(const WalkerGeometry& g) const noexcept {
+  return -z * (g.r1 + g.r2) + a * g.r12 / (1.0 + b * g.r12);
+}
 
-  // f = ln psi;  u(r12) = a r12 / (1 + b r12)
-  const double denom = 1.0 + b * r12;
-  const double up = a / (denom * denom);               // u'
+double TrialWavefunction::local_energy(const Walker& w, const WalkerGeometry& g) const noexcept {
+  const double r1 = g.r1;
+  const double r2 = g.r2;
+  const Vec3& d12 = g.d12;
+  const double r12 = g.r12;
+
+  // f = ln psi
+  const double denom = g.denom;
+  const double up = g.up;                                     // u'
   const double upp = -2.0 * a * b / (denom * denom * denom);  // u''
 
   // grad_1 f = -z rhat1 + u' rhat12 ; grad_2 f = -z rhat2 - u' rhat12
@@ -47,16 +56,11 @@ double TrialWavefunction::local_energy(const Walker& w) const noexcept {
   return kinetic + potential;
 }
 
-void TrialWavefunction::drift(const Walker& w, Vec3& g1, Vec3& g2) const noexcept {
-  const double r1 = std::max(norm(w.r1), kMinDistance);
-  const double r2 = std::max(norm(w.r2), kMinDistance);
-  const Vec3 d12 = sub(w.r1, w.r2);
-  const double r12 = std::max(norm(d12), kMinDistance);
-  const double denom = 1.0 + b * r12;
-  const double up = a / (denom * denom);
+void TrialWavefunction::drift(const Walker& w, const WalkerGeometry& g, Vec3& g1,
+                              Vec3& g2) const noexcept {
   for (int k = 0; k < 3; ++k) {
-    g1[k] = -z * w.r1[k] / r1 + up * d12[k] / r12;
-    g2[k] = -z * w.r2[k] / r2 - up * d12[k] / r12;
+    g1[k] = -z * w.r1[k] / g.r1 + g.up * g.d12[k] / g.r12;
+    g2[k] = -z * w.r2[k] / g.r2 - g.up * g.d12[k] / g.r12;
   }
 }
 

@@ -89,6 +89,22 @@ struct GoldenArtifacts {
   virtual ~GoldenArtifacts() = default;
 };
 
+/// Why an analyze_dirty implementation ran the full analyze() instead of
+/// re-deriving only what the diff touched.  Carried as the value of
+/// AnalysisResult::metrics[kFullAnalysisReasonMetric] (absent when the
+/// incremental path answered).
+enum class FullAnalysisReason : int {
+  MetadataChanged = 1,   ///< mode/kind changed, or the path was created,
+                         ///< deleted or renamed
+  SizeChanged = 2,       ///< the file's size differs from the golden one
+  OutsideDataRegion = 3, ///< a dirty range touches bytes outside the data the
+                         ///< incremental path re-derives (metadata, header)
+  ShortRead = 4,         ///< re-reading a dirty range came back short
+  ThresholdOutsideWindow = 5,  ///< the shifted threshold left the golden index
+  NoGoldenArtifacts = 6,       ///< no golden state to splice into
+};
+inline constexpr const char* kFullAnalysisReasonMetric = "full_analysis_reason";
+
 class Application {
  public:
   virtual ~Application() = default;

@@ -9,6 +9,7 @@
 // thousands of injection runs each get stream `base_seed + run_index`.
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace ffis::util {
@@ -29,7 +30,17 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
 
   /// Next raw 64-bit output.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
   /// bound must be > 0.
@@ -39,13 +50,33 @@ class Rng {
   [[nodiscard]] std::int64_t uniform(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform01() noexcept;
+  [[nodiscard]] double uniform01() noexcept {
+    // 53 random mantissa bits -> [0,1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) noexcept;
+  [[nodiscard]] double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform01();
+  }
 
   /// Standard normal via Marsaglia polar method (cached spare value).
-  [[nodiscard]] double gaussian() noexcept;
+  [[nodiscard]] double gaussian() noexcept {
+    if (has_spare_) {
+      has_spare_ = false;
+      return spare_gaussian_;
+    }
+    double u, v, s;
+    do {
+      u = uniform(-1.0, 1.0);
+      v = uniform(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double factor = std::sqrt(-2.0 * std::log(s) / s);
+    spare_gaussian_ = v * factor;
+    has_spare_ = true;
+    return u * factor;
+  }
 
   /// Normal with mean mu and standard deviation sigma.
   [[nodiscard]] double gaussian(double mu, double sigma) noexcept;
@@ -61,6 +92,10 @@ class Rng {
   void discard(std::uint64_t n) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double spare_gaussian_ = 0.0;
   bool has_spare_ = false;

@@ -680,7 +680,7 @@ TEST(DiffClassification, NyxSlabSharingChunkZeroWithMetadataStillSplices) {
       for (const auto& run : cell.details) {
         if (!run.analysis.has_value()) continue;  // clean diff or crash
         ++analyzed;
-        const auto reason = run.analysis->metrics.find(nyx::kFullAnalysisReasonMetric);
+        const auto reason = run.analysis->metrics.find(core::kFullAnalysisReasonMetric);
         if (reason != run.analysis->metrics.end()) continue;
         ++spliced;
         // A spliced run re-reads its dirty elements, not the plotfile.

@@ -753,7 +753,7 @@ class ShortTinyReadsFs final : public vfs::PassthroughFs {
 };
 
 double reason_of(const core::AnalysisResult& r) {
-  const auto it = r.metrics.find(nyx::kFullAnalysisReasonMetric);
+  const auto it = r.metrics.find(core::kFullAnalysisReasonMetric);
   return it == r.metrics.end() ? 0.0 : it->second;
 }
 
@@ -779,12 +779,12 @@ TEST(NyxDiffAnalysis, SplicedPathMatchesFullAnalysisAndReadsOnlyTheEdit) {
 TEST(NyxDiffAnalysis, EveryFullAnalysisNamesItsReason) {
   DirtyFixture fx;
   const std::string& path = fx.app.config().plotfile_path;
-  const auto reason = [](nyx::FullAnalysisReason r) { return static_cast<double>(r); };
+  const auto reason = [](core::FullAnalysisReason r) { return static_cast<double>(r); };
 
   {  // metadata: mode bits
     vfs::MemFs run = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
     run.chmod(path, 0600);
-    EXPECT_EQ(reason_of(fx.analyze_dirty(run)), reason(nyx::FullAnalysisReason::MetadataChanged));
+    EXPECT_EQ(reason_of(fx.analyze_dirty(run)), reason(core::FullAnalysisReason::MetadataChanged));
   }
   {  // metadata: the path renamed away — the full analysis fails like analyze()
     vfs::MemFs run = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
@@ -808,13 +808,13 @@ TEST(NyxDiffAnalysis, EveryFullAnalysisNamesItsReason) {
   {  // size change
     const auto r = fx.app.analyze_dirty(clean, claimed({{fx.file_size, 8}}, fx.file_size + 8),
                                         fx.golden, fx.artifacts.get());
-    EXPECT_EQ(reason_of(r), reason(nyx::FullAnalysisReason::SizeChanged));
+    EXPECT_EQ(reason_of(r), reason(core::FullAnalysisReason::SizeChanged));
     EXPECT_EQ(r.comparison_blob, fx.golden.comparison_blob);
   }
   {  // a dirty byte in the metadata region
     const auto r = fx.app.analyze_dirty(clean, claimed({{fx.data_begin - 1, 2}}, fx.file_size),
                                         fx.golden, fx.artifacts.get());
-    EXPECT_EQ(reason_of(r), reason(nyx::FullAnalysisReason::OutsideDataRegion));
+    EXPECT_EQ(reason_of(r), reason(core::FullAnalysisReason::OutsideDataRegion));
     EXPECT_EQ(r.comparison_blob, fx.golden.comparison_blob);
   }
   {  // short read: the diff promises the golden size, the file is shorter.
@@ -843,14 +843,14 @@ TEST(NyxDiffAnalysis, EveryFullAnalysisNamesItsReason) {
     ShortTinyReadsFs flaky(run, fx.data_begin);
     const auto r = fx.app.analyze_dirty(flaky, run.diff_tree(fx.golden_tree), fx.golden,
                                         fx.artifacts.get());
-    EXPECT_EQ(reason_of(r), reason(nyx::FullAnalysisReason::ShortRead));
+    EXPECT_EQ(reason_of(r), reason(core::FullAnalysisReason::ShortRead));
     EXPECT_EQ(r.comparison_blob, fx.app.analyze(run).comparison_blob);
   }
   {  // the threshold drops below the golden index window
     vfs::MemFs run = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
     fx.write_value(run, 100, -1e300);
     const core::AnalysisResult r = fx.analyze_dirty(run);
-    EXPECT_EQ(reason_of(r), reason(nyx::FullAnalysisReason::ThresholdOutsideWindow));
+    EXPECT_EQ(reason_of(r), reason(core::FullAnalysisReason::ThresholdOutsideWindow));
     const core::AnalysisResult full = fx.app.analyze(run);
     EXPECT_EQ(r.comparison_blob, full.comparison_blob);
   }
@@ -858,7 +858,7 @@ TEST(NyxDiffAnalysis, EveryFullAnalysisNamesItsReason) {
     vfs::MemFs run = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
     fx.write_value(run, 100, 2.0);
     const auto r = fx.app.analyze_dirty(run, run.diff_tree(fx.golden_tree), fx.golden, nullptr);
-    EXPECT_EQ(reason_of(r), reason(nyx::FullAnalysisReason::NoGoldenArtifacts));
+    EXPECT_EQ(reason_of(r), reason(core::FullAnalysisReason::NoGoldenArtifacts));
   }
 }
 

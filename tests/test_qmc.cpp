@@ -1,11 +1,17 @@
 // Unit tests for the mini-QMCPACK application: wavefunction analytics (vs
-// numerical derivatives), VMC/DMC physics, scalar I/O and QMCA parsing.
+// numerical derivatives), VMC/DMC physics, scalar I/O and QMCA parsing, the
+// rendered-series replay, and diff-driven re-analysis against the full one.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <set>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "ffis/apps/qmc/dmc.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
@@ -13,8 +19,15 @@
 #include "ffis/apps/qmc/scalar_io.hpp"
 #include "ffis/apps/qmc/vmc.hpp"
 #include "ffis/apps/qmc/wavefunction.hpp"
+#include "ffis/exp/engine.hpp"
+#include "ffis/exp/plan.hpp"
+#include "ffis/faults/fault_signature.hpp"
+#include "ffis/faults/faulting_fs.hpp"
+#include "ffis/util/rng.hpp"
+#include "ffis/util/serialize.hpp"
 #include "ffis/vfs/counting_fs.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "ffis/vfs/passthrough_fs.hpp"
 
 namespace {
 
@@ -228,6 +241,114 @@ TEST(ScalarIo, WriteProducesHeaderPlusFlushes) {
   EXPECT_EQ(text.find(qmc::scalar_header()), 0u);
 }
 
+// --- rendered-series replay ------------------------------------------------------------
+
+/// The buffered per-row writer the rendered series replays: header pwrite,
+/// then one pwrite whenever the buffer reaches flush_bytes, then the rest.
+void write_rows_buffered(vfs::FileSystem& fs, const std::string& path,
+                         const std::vector<qmc::ScalarRow>& rows, std::size_t flush_bytes) {
+  vfs::File out(fs, path, vfs::OpenMode::Write);
+  std::uint64_t offset = 0;
+  const std::string header = qmc::scalar_header();
+  offset += out.pwrite(util::byte_view(header), offset);
+  std::string buffer;
+  const auto flush = [&] {
+    if (buffer.empty()) return;
+    offset += out.pwrite(util::byte_view(buffer), offset);
+    buffer.clear();
+  };
+  for (const auto& row : rows) {
+    buffer += qmc::format_row(row);
+    if (buffer.size() >= flush_bytes) flush();
+  }
+  flush();
+}
+
+struct WriteCall {
+  std::uint64_t offset = 0;
+  util::Bytes bytes;
+  bool operator==(const WriteCall&) const = default;
+};
+
+/// Records every pwrite that reaches it; optionally writes only the first
+/// half of call `short_call` and reports that shorter count, as a short
+/// write(2) does.
+class RecordingFs final : public vfs::PassthroughFs {
+ public:
+  RecordingFs(vfs::FileSystem& inner, std::size_t short_call)
+      : PassthroughFs(inner), short_call_(short_call) {}
+  std::size_t pwrite(vfs::FileHandle fh, util::ByteSpan buf, std::uint64_t offset) override {
+    if (calls.size() == short_call_) buf = buf.first(buf.size() / 2);
+    calls.push_back({offset, util::Bytes(buf.begin(), buf.end())});
+    return PassthroughFs::pwrite(fh, buf, offset);
+  }
+  std::vector<WriteCall> calls;
+
+ private:
+  std::size_t short_call_;
+};
+
+std::vector<qmc::ScalarRow> sample_rows(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<qmc::ScalarRow> rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rows[i].index = i;
+    rows[i].local_energy = rng.uniform(-3.2, -2.6);
+    rows[i].variance = rng.uniform(0.0, 2.0);
+    rows[i].weight = rng.uniform(900.0, 1100.0);
+  }
+  return rows;
+}
+
+TEST(ScalarReplay, RenderedSeriesReplaysThePerRowWritersCalls) {
+  // (rows, flush) pairs: empty series, a remainder-free split, a short
+  // tail flush, and flushes of one row each.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {0, 4096}, {126, 65 * 63}, {200, 4096}, {37, 1}};
+  const std::string path = "/s.dat";
+  for (const auto& [n, flush] : shapes) {
+    SCOPED_TRACE("rows " + std::to_string(n) + " flush " + std::to_string(flush));
+    const std::vector<qmc::ScalarRow> rows = sample_rows(n, 100 + n);
+    const qmc::RenderedSeries series = qmc::render_scalar_series(rows, {.flush_bytes = flush});
+    ASSERT_EQ(series.write_ends.back(), series.text.size());
+    // No fault, then a fault under every pwrite: a short write at the
+    // recording layer, and a stale-tail SHORN_WRITE above it.
+    for (std::size_t fault_at = 0; fault_at <= series.write_ends.size(); ++fault_at) {
+      SCOPED_TRACE("fault at pwrite " + std::to_string(fault_at));
+      const bool armed = fault_at < series.write_ends.size();
+      const std::size_t no_short = static_cast<std::size_t>(-1);
+      vfs::MemFs ref_backing, replay_backing;
+      RecordingFs ref_rec(ref_backing, armed ? fault_at : no_short);
+      RecordingFs replay_rec(replay_backing, armed ? fault_at : no_short);
+      write_rows_buffered(ref_rec, path, rows, flush);
+      qmc::write_rendered_series(replay_rec, path, series);
+      EXPECT_EQ(replay_rec.calls, ref_rec.calls);
+      EXPECT_EQ(vfs::read_file(replay_backing, path), vfs::read_file(ref_backing, path));
+      if (!armed) {  // the rows-based wrapper renders, then replays
+        vfs::MemFs wrapper_backing;
+        RecordingFs wrapper_rec(wrapper_backing, no_short);
+        qmc::write_scalar_file(wrapper_rec, path, rows, {.flush_bytes = flush});
+        EXPECT_EQ(wrapper_rec.calls, ref_rec.calls);
+        EXPECT_EQ(vfs::read_text_file(wrapper_backing, path), series.text);
+      }
+
+      vfs::MemFs ref_below, replay_below;
+      RecordingFs ref_below_rec(ref_below, no_short), replay_below_rec(replay_below, no_short);
+      faults::FaultingFs ref_shorn(ref_below_rec), replay_shorn(replay_below_rec);
+      if (armed) {
+        const auto sig = faults::parse_fault_signature("SHORN_WRITE@pwrite{tail=stale}");
+        ref_shorn.arm(sig, fault_at, 9);
+        replay_shorn.arm(sig, fault_at, 9);
+      }
+      write_rows_buffered(ref_shorn, path, rows, flush);
+      qmc::write_rendered_series(replay_shorn, path, series);
+      EXPECT_EQ(replay_below_rec.calls, ref_below_rec.calls);
+      EXPECT_EQ(vfs::read_file(replay_below, path), vfs::read_file(ref_below, path));
+      EXPECT_EQ(replay_shorn.fired(), ref_shorn.fired());
+    }
+  }
+}
+
 TEST(Qmca, AnalyzesCleanSeries) {
   std::string text = qmc::scalar_header();
   for (int i = 0; i < 300; ++i) {
@@ -368,6 +489,52 @@ TEST(QmcApp, TraceIsCachedPerSeed) {
   EXPECT_NE(t1->dmc_mean_energy, t3->dmc_mean_energy);
 }
 
+std::uint64_t rows_fingerprint(const std::vector<qmc::ScalarRow>& rows) {
+  util::Bytes bytes;
+  util::ByteWriter w(bytes);
+  for (const auto& row : rows) {
+    w.u64(row.index);
+    w.f64(row.local_energy);
+    w.f64(row.variance);
+    w.f64(row.weight);
+  }
+  return util::fnv1a64(bytes);
+}
+
+TEST(QmcApp, TraceIsPinnedBitForBit) {
+  // The Monte Carlo trace of the default configuration, frozen: FNV-1a of
+  // every row's fields and the bits of the DMC mean.  Caching walker state
+  // across steps or sharing distances between the wavefunction terms must
+  // not move a single bit.
+  struct TracePin {
+    std::uint64_t seed, vmc, dmc, mean_bits;
+  };
+  for (const TracePin& pin : {TracePin{1000, 11199816316398581436ULL, 1544581900522638292ULL,
+                                       13837072296760516973ULL},
+                              TracePin{42, 3550125095982836026ULL, 2015718376701711322ULL,
+                                       13837096759761769827ULL}}) {
+    const qmc::QmcApp app;
+    const auto t = app.trace(pin.seed);
+    EXPECT_EQ(rows_fingerprint(t->vmc_rows), pin.vmc) << "seed " << pin.seed;
+    EXPECT_EQ(rows_fingerprint(t->dmc_rows), pin.dmc) << "seed " << pin.seed;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(t->dmc_mean_energy), pin.mean_bits)
+        << "seed " << pin.seed;
+  }
+}
+
+TEST(QmcApp, RunReplaysTheSharedRenderedSeries) {
+  qmc::QmcApp app;
+  vfs::MemFs fs;
+  app.run(core::RunContext{.fs = fs, .app_seed = 3});
+  const auto t = app.trace(3);
+  const qmc::RenderedSeries& dmc = t->dmc_series.get(t->dmc_rows, app.config().io);
+  EXPECT_EQ(&dmc, &t->dmc_series.get(t->dmc_rows, app.config().io));
+  EXPECT_EQ(vfs::read_text_file(fs, app.dmc_path()), dmc.text);
+  vfs::MemFs reference;
+  qmc::write_scalar_file(reference, "/s000", t->vmc_rows, app.config().io);
+  EXPECT_EQ(vfs::read_file(fs, app.vmc_path()), vfs::read_file(reference, "/s000"));
+}
+
 TEST(QmcApp, ClassifyRules) {
   qmc::QmcApp app;
   core::AnalysisResult golden, faulty;
@@ -380,5 +547,294 @@ TEST(QmcApp, ClassifyRules) {
   faulty.metrics["nul_detected"] = 1.0;
   EXPECT_EQ(app.classify(golden, faulty), core::Outcome::Detected);  // NULs flagged
 }
+
+// --- diff-driven re-analysis ------------------------------------------------------------
+
+/// A golden QMC tree (small series, so the fuzz stays fast under
+/// sanitizers) with its analysis and golden artifacts.  A blemished golden
+/// carries a skipped row of its own, which the splice must keep or drop
+/// exactly as a full parse does.
+struct QmcDirtyFixture {
+  explicit QmcDirtyFixture(bool blemished = false) : app(config()) {
+    app.run(core::RunContext{.fs = golden_tree, .app_seed = 11});
+    if (blemished) {
+      vfs::File f(golden_tree, app.dmc_path(), vfs::OpenMode::ReadWrite);
+      const std::size_t row = qmc::format_row({}).size();
+      f.pwrite(util::byte_view("x"), qmc::scalar_header().size() + 60 * row + 15);  // index
+    }
+    golden = app.analyze(golden_tree);
+    vfs::MemFs scratch = golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
+    artifacts = app.golden_artifacts(scratch, golden);
+    text = vfs::read_text_file(golden_tree, app.dmc_path());
+    header_end = text.find('\n');
+  }
+
+  static qmc::QmcAppConfig config() {
+    qmc::QmcAppConfig c;
+    c.vmc.walkers = 32;
+    c.vmc.steps = 10;
+    c.vmc.warmup_steps = 10;
+    c.dmc.target_walkers = 32;
+    c.dmc.steps = 300;
+    c.dmc.warmup_steps = 10;
+    c.qmca.equilibration_rows = 40;
+    return c;
+  }
+
+  qmc::QmcApp app;
+  vfs::MemFs golden_tree;
+  core::AnalysisResult golden;
+  std::shared_ptr<const core::GoldenArtifacts> artifacts;
+  std::string text;  ///< golden s001
+  std::size_t header_end = 0;
+};
+
+double qmc_reason_of(const core::AnalysisResult& r) {
+  const auto it = r.metrics.find(core::kFullAnalysisReasonMetric);
+  return it == r.metrics.end() ? 0.0 : it->second;
+}
+
+/// analyze_dirty(run) against analyze(run): the same exception, or the same
+/// blob, report and metrics bit for bit (the reason metric aside, which must
+/// be `reason`).
+void expect_dirty_matches_full(const QmcDirtyFixture& fx, vfs::MemFs& run,
+                               core::FullAnalysisReason reason, bool expect_reason) {
+  const vfs::FsDiff diff = run.diff_tree(fx.golden_tree);
+  std::optional<core::AnalysisResult> full, dirty;
+  std::string full_error, dirty_error;
+  try {
+    full = fx.app.analyze(run);
+  } catch (const std::exception& e) {
+    full_error = e.what();
+  }
+  try {
+    dirty = fx.app.analyze_dirty(run, diff, fx.golden, fx.artifacts.get());
+  } catch (const std::exception& e) {
+    dirty_error = e.what();
+  }
+  ASSERT_EQ(dirty_error, full_error);
+  ASSERT_EQ(dirty.has_value(), full.has_value());
+  if (!full) return;
+  EXPECT_EQ(dirty->comparison_blob, full->comparison_blob);
+  EXPECT_EQ(dirty->report, full->report);
+  EXPECT_EQ(qmc_reason_of(*dirty), expect_reason ? static_cast<double>(reason) : 0.0);
+  dirty->metrics.erase(core::kFullAnalysisReasonMetric);
+  ASSERT_EQ(dirty->metrics.size(), full->metrics.size());
+  for (const auto& [name, value] : full->metrics) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dirty->metrics.at(name)),
+              std::bit_cast<std::uint64_t>(value))
+        << name;
+  }
+}
+
+void fuzz_against_full(const QmcDirtyFixture& fx) {
+  ASSERT_NE(fx.artifacts, nullptr);
+  const std::string path = fx.app.dmc_path();
+  const std::size_t size = fx.text.size();
+  const std::size_t data_begin = fx.header_end + 1;
+  // Rows after the header that feed the equilibration prefix.
+  const std::size_t equil_end =
+      data_begin + fx.app.config().qmca.equilibration_rows * qmc::format_row({}).size();
+  enum Kind { BitFlip, Newline, Nul, Letter, Equilibration, LastNewline, Header, Resize, kKinds };
+
+  std::set<int> kinds_seen;
+  std::uint64_t spliced = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    vfs::MemFs run = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
+    bool resized = false, header = false;
+    {
+      vfs::File f(run, path, vfs::OpenMode::ReadWrite);
+      const auto put = [&](std::uint64_t offset, std::string_view bytes) {
+        f.pwrite(util::byte_view(bytes), offset);
+      };
+      const auto data_offset = [&] { return data_begin + rng.uniform(size - data_begin); };
+      const std::uint64_t edits = 1 + rng.uniform(std::uint64_t{3});
+      for (std::uint64_t e = 0; e < edits; ++e) {
+        const auto kind = static_cast<Kind>(rng.uniform(std::uint64_t{kKinds}));
+        kinds_seen.insert(kind);
+        switch (kind) {
+          case BitFlip: {
+            const std::uint64_t at = data_offset();
+            const char c = static_cast<char>(fx.text[at] ^ (1 << rng.uniform(std::uint64_t{8})));
+            put(at, std::string_view(&c, 1));
+            break;
+          }
+          case Newline: {  // create a '\n' (a row splits) or destroy one (rows merge)
+            const std::uint64_t at = data_offset();
+            const std::size_t nl = fx.text.find('\n', at);
+            if (rng.bernoulli(0.5) || nl == std::string::npos) {
+              put(at, "\n");
+            } else {
+              put(nl, rng.bernoulli(0.5) ? "7" : " ");
+            }
+            break;
+          }
+          case Nul:
+            put(data_offset(), std::string(1 + rng.uniform(std::uint64_t{80}), '\0'));
+            break;
+          case Letter: {  // a digit turned into a letter: the row is skipped
+            const std::size_t at = fx.text.find_first_of("0123456789", data_offset());
+            if (at != std::string::npos) put(at, "x");
+            break;
+          }
+          case Equilibration:
+            put(data_begin + rng.uniform(equil_end - data_begin), rng.bernoulli(0.5) ? "9" : "-");
+            break;
+          case LastNewline:  // the last row loses its '\n'
+            put(size - 1, "5");
+            break;
+          case Header: {
+            const std::uint64_t at = rng.uniform(fx.header_end + 1);
+            const char c = static_cast<char>(fx.text[at] ^ (1 << rng.uniform(std::uint64_t{8})));
+            put(at, std::string_view(&c, 1));
+            header = true;
+            break;
+          }
+          case Resize:
+            if (rng.bernoulli(0.5)) {
+              f.ftruncate(data_begin + rng.uniform(size - data_begin));
+            } else {
+              put(size + rng.uniform(std::uint64_t{100}), "1 -2.9 0 0\n");
+            }
+            resized = true;
+            break;
+          case kKinds:
+            break;
+        }
+      }
+    }
+    const vfs::FsDiff diff = run.diff_tree(fx.golden_tree);
+    if (diff.empty()) continue;  // the edits happened to restore golden bytes
+    const vfs::FileDiff* fd = diff.find(path);
+    ASSERT_NE(fd, nullptr);
+    resized = fd->size != fd->base_size;
+    header = !resized && fd->ranges.front().offset <= fx.header_end;
+    const core::FullAnalysisReason reason = resized ? core::FullAnalysisReason::SizeChanged
+                                                    : core::FullAnalysisReason::OutsideDataRegion;
+    spliced += !resized && !header;
+    expect_dirty_matches_full(fx, run, reason, resized || header);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(kinds_seen.size(), static_cast<std::size_t>(kKinds));
+  EXPECT_GT(spliced, 300u);
+}
+
+TEST(QmcDiffAnalysis, DifferentialFuzzMatchesFullAnalysis) {
+  for (const bool blemished : {false, true}) {
+    SCOPED_TRACE(blemished ? "blemished golden" : "clean golden");
+    const QmcDirtyFixture fx(blemished);
+    EXPECT_EQ(fx.golden.metric("rows_skipped"), blemished ? 1.0 : 0.0);
+    fuzz_against_full(fx);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(QmcDiffAnalysis, FallbacksNameTheirReason) {
+  const QmcDirtyFixture fx;
+  const std::string path = fx.app.dmc_path();
+  {  // untouched s001: the golden analysis verbatim
+    vfs::MemFs run = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
+    vfs::write_text_file(run, fx.app.vmc_path(), "gone");
+    const vfs::FsDiff diff = run.diff_tree(fx.golden_tree);
+    const core::AnalysisResult r = fx.app.analyze_dirty(run, diff, fx.golden, fx.artifacts.get());
+    EXPECT_EQ(r.comparison_blob, fx.golden.comparison_blob);
+    EXPECT_EQ(qmc_reason_of(r), 0.0);
+  }
+  {  // mode bits
+    vfs::MemFs run = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
+    run.chmod(path, 0600);
+    expect_dirty_matches_full(fx, run, core::FullAnalysisReason::MetadataChanged, true);
+  }
+  {  // a golden series with a NUL byte gets no golden state
+    core::AnalysisResult nul_golden = fx.golden;
+    nul_golden.comparison_blob[fx.text.size() / 2] = std::byte{0};
+    vfs::MemFs scratch = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
+    EXPECT_EQ(fx.app.golden_artifacts(scratch, nul_golden), nullptr);
+  }
+  {  // no golden artifacts
+    vfs::MemFs run = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
+    vfs::File(run, path, vfs::OpenMode::ReadWrite).pwrite(util::byte_view("x"), fx.text.size() / 2);
+    const core::AnalysisResult r =
+        fx.app.analyze_dirty(run, run.diff_tree(fx.golden_tree), fx.golden, nullptr);
+    EXPECT_EQ(qmc_reason_of(r),
+              static_cast<double>(core::FullAnalysisReason::NoGoldenArtifacts));
+  }
+}
+
+TEST(QmcDiffAnalysis, GoldenStateIsSharedPerContent) {
+  const QmcDirtyFixture fx;
+  vfs::MemFs scratch = fx.golden_tree.fork(vfs::MemFs::Concurrency::SingleThread);
+  EXPECT_EQ(fx.app.golden_artifacts(scratch, fx.golden), fx.artifacts);
+  core::AnalysisResult other = fx.golden;
+  other.comparison_blob.back() = std::byte{'7'};
+  EXPECT_NE(fx.app.golden_artifacts(scratch, other), fx.artifacts);
+}
+
+TEST(QmcEngine, FourThreadCellsShareOneRenderedTraceAndMatchTheClassicPath) {
+  // QMC cells run by 4 pool threads share one cached trace and its rendered
+  // series, and golden state; their tallies must equal the classic path's
+  // (full re-execution, full analysis), and most analyzed runs splice.
+  const qmc::QmcApp app(QmcDirtyFixture::config());
+  constexpr std::uint64_t kRuns = 24;
+  const auto make_plan = [&] {
+    exp::PlanBuilder builder;
+    builder.runs(kRuns).seed(31);
+    builder.app(app).faults({"BF", "SHORN_WRITE@pwrite"}).stage(2).product();
+    builder.cell(app, "BF", 1);
+    builder.cell(app, "BF", -1);
+    return builder.build();
+  };
+  const std::uint64_t app_seed = make_plan().cells().front().app_seed();
+  const auto trace = app.trace(app_seed);
+  exp::EngineOptions classic;
+  classic.threads = 1;
+  classic.use_checkpoints = false;
+  classic.use_diff_classification = false;
+  const auto reference = exp::Engine(classic).run(make_plan());
+
+  exp::EngineOptions options;
+  options.threads = 4;
+  options.keep_details = true;
+  const auto report = exp::Engine(options).run(make_plan());
+  ASSERT_EQ(report.cells.size(), reference.cells.size());
+  std::uint64_t analyzed = 0, spliced = 0;
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
+    const auto& cell = report.cells[i];
+    ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+    for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
+      EXPECT_EQ(cell.tally.count(static_cast<core::Outcome>(o)),
+                reference.cells[i].tally.count(static_cast<core::Outcome>(o)))
+          << cell.cell.label << " outcome " << o;
+    }
+    for (const auto& run : cell.details) {
+      if (!run.analysis.has_value()) continue;
+      ++analyzed;
+      spliced += run.analysis->metrics.count(core::kFullAnalysisReasonMetric) == 0;
+    }
+  }
+  EXPECT_GT(analyzed, kRuns);
+  EXPECT_GT(spliced * 2, analyzed);
+  EXPECT_EQ(app.trace(app_seed), trace);  // one trace served every run
+}
+
+TEST(QmcEngine, ConcurrentFirstRunsRenderEachSeriesOnce) {
+  // Four threads race to be the first writer of a fresh trace's series.
+  const qmc::QmcApp app(QmcDirtyFixture::config());
+  const auto trace = app.trace(5);
+  std::vector<vfs::MemFs> trees(4);
+  std::vector<std::thread> threads;
+  for (auto& fs : trees) {
+    threads.emplace_back([&app, &fs] { app.run(core::RunContext{.fs = fs, .app_seed = 5}); });
+  }
+  for (auto& th : threads) th.join();
+  const qmc::RenderedSeries& dmc = trace->dmc_series.get(trace->dmc_rows, app.config().io);
+  for (auto& fs : trees) {
+    EXPECT_EQ(vfs::read_text_file(fs, app.dmc_path()), dmc.text);
+    EXPECT_EQ(vfs::read_file(fs, app.vmc_path()), vfs::read_file(trees.front(), app.vmc_path()));
+  }
+}
+
 
 }  // namespace
